@@ -234,31 +234,15 @@ def _cmd_oracle(rest):
     if model_file is not None:
         with open(model_file, "r", encoding="utf-8") as handle:
             base, index = finmodel.parse_model(handle.read())
-        up = finmodel.ultrapower_quotient(base, index)
-        at_w = finmodel.check_at_w(up)
-        mismatches = list(at_w)
-        checks = 0
-        params = finmodel._param_functions(
-            len(base.carrier), len(index.elements), index.elements.index(index.w)
-        )
-        value_of = {p: v for p, v in enumerate(base.carrier)}
-        for formula in finmodel.gen_formulas(depth):
-            for f in params:
-                for g in params:
-                    fn = tuple(value_of[v] for v in f)
-                    gn = tuple(value_of[v] for v in g)
-                    report = finmodel.los_check(up, formula, {"x": fn, "y": gn})
-                    checks += 1
-                    if not report.agree:
-                        mismatches.append((formula, fn, gn))
-        ok = not mismatches
+        report = finmodel.model_sweep(base, index, depth)
+        ok = report.ok
         text = (
             f"model: {len(base.carrier)} elements, index {len(index.elements)}, "
-            f"{checks} checks, {len(mismatches)} mismatches: "
+            f"{report.checks} checks, {len(report.mismatches)} mismatches: "
             + ("PASS" if ok else "FAIL")
         )
-        result = _ok("oracle", text, checks=checks,
-                     mismatches=len(mismatches), passed=ok)
+        result = _ok("oracle", text, checks=report.checks,
+                     mismatches=len(report.mismatches), passed=ok)
         if not ok:
             result.exit_code = DOMAIN
             result.payload["status"] = "error"

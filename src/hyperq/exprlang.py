@@ -16,12 +16,14 @@ literals are converted to exact fractions; a literal fraction ``p/q`` is
 folded into a single number node, so ``1/0`` is rejected while parsing.
 ``format`` prints with canonical spacing and minimal parentheses, and
 ``parse(format(t))`` returns ``t`` for every tree ``t`` in the parser's
-image.  The normative grammar ships in docs/grammar.ebnf.
+image.  Input whose brackets and prefix operators, or whose tree, nest
+deeper than ``MAX_DEPTH`` levels is refused with a ``ParseError``.  The
+normative grammar ships in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -210,6 +212,12 @@ _MODE_VARS = {
 
 _PRED_NAMES = ("limited", "inf", "std")
 
+# Bound on both the nesting of brackets and prefix operators met by the
+# recursive descent and the height of the AST it returns, so that the
+# parser and every recursive walk over its trees stay far inside the
+# interpreter's stack.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens, mode):
@@ -217,6 +225,7 @@ class _Parser:
         self.pos = 0
         self.mode = mode
         self.vars = _MODE_VARS[mode]
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -239,6 +248,15 @@ class _Parser:
     def fail(self, message):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def nested(self, parse):
+        """``parse()`` one nesting level down, refusing to pass MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- arithmetic layer ---------------------------------------------
 
@@ -268,7 +286,7 @@ class _Parser:
     def unary(self):
         if self.peek().kind == "-":
             self.next()
-            child = self.unary()
+            child = self.nested(self.unary)
             if isinstance(child, Num):
                 return Num(-child.value)
             return Neg(child)
@@ -299,7 +317,7 @@ class _Parser:
             return Num(_num_value(tok.text))
         if tok.kind == "(":
             self.next()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -310,7 +328,7 @@ class _Parser:
             if name == "shadow":
                 self.next()
                 self.expect("(")
-                child = self.expr()
+                child = self.nested(self.expr)
                 self.expect(")")
                 return ShadowOf(child)
             if self.mode == "ext":
@@ -348,7 +366,7 @@ class _Parser:
     def set_neg(self):
         if self.peek().kind == "~":
             self.next()
-            return NotP(self.set_neg())
+            return NotP(self.nested(self.set_neg))
         return self.set_atom()
 
     def set_atom(self):
@@ -361,13 +379,13 @@ class _Parser:
             self.expect("}")
             return Singleton(value)
         if tok.kind == "(":
-            save = self.pos
+            save = self.pos, self.depth
             try:
                 return self.interval()
             except ParseError:
-                self.pos = save
+                self.pos, self.depth = save
             self.next()
-            node = self.set_expr()
+            node = self.nested(self.set_expr)
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -395,6 +413,17 @@ class _Parser:
         return Interval(lo, hi, lo_closed, closer.kind == "]")
 
 
+def _bounded(node, tok):
+    """``node`` if its height is at most MAX_DEPTH; found without recursion."""
+    stack = [(node, 1)]
+    while stack:
+        n, h = stack.pop()
+        if h > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        stack.extend((c, h + 1) for c in vars(n).values() if is_dataclass(c))
+    return node
+
+
 def parse(text: str, mode: str = "germ"):
     """Parse ``text`` in the given mode and return its AST."""
     if mode not in ("germ", "family", "ext", "set", "kset"):
@@ -407,7 +436,7 @@ def parse(text: str, mode: str = "germ"):
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return node
+    return _bounded(node, tok)
 
 
 def parse_items(text: str, mode: str = "germ"):
@@ -420,7 +449,7 @@ def parse_items(text: str, mode: str = "germ"):
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return tuple(items)
+    return tuple(_bounded(item, tok) for item in items)
 
 
 # -- pretty printer -----------------------------------------------------

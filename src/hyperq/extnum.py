@@ -87,14 +87,6 @@ def neutrix_scale(a: Germ, n: Neutrix) -> Neutrix:
     return graded(n.grade + G.valuation(a))
 
 
-def neutrix_ops(n: Neutrix, m: Neutrix, op: str) -> Neutrix:
-    if op == "add":
-        return neutrix_add(n, m)
-    if op == "mul":
-        return neutrix_mul(n, m)
-    raise ValueError(f"unknown neutrix operation {op!r}")
-
-
 def _truncate(center: Germ, neutrix: Neutrix) -> Germ:
     """Drop the absorbed part of the centre: all asymptotic terms of
     valuation at most the neutrix grade."""

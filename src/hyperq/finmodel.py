@@ -179,9 +179,6 @@ class FinUltrapower:
     class_of: dict = field(compare=False, repr=False)
     quotient: Structure = None  # classes as 0..n-1 with the induced relation
 
-    def class_index(self, fn) -> int:
-        return self.class_of[tuple(fn)]
-
     def embed(self, x) -> int:
         """Class of the constant function with value x."""
         return self.class_of[tuple(x for _ in self.index.elements)]
@@ -445,6 +442,28 @@ def los_sweep(max_index: int = 3, max_carrier: int = 3, max_depth: int = 2) -> S
                                     report.mismatches.append(
                                         (base, index, formula, f, g, truth_set)
                                     )
+    return report
+
+
+def model_sweep(base: Structure, index: FinIndex, max_depth: int = 2) -> SweepReport:
+    """Check one finite model: =_U and in_U against evaluation at w,
+    then the Los comparison for every bounded formula and structured
+    parameter choice."""
+    up = ultrapower_quotient(base, index)
+    report = SweepReport(instances=1, mismatches=list(check_at_w(up)))
+    params = _param_functions(
+        len(base.carrier), len(index.elements), index.elements.index(index.w)
+    )
+    value_of = {p: v for p, v in enumerate(base.carrier)}
+    for formula in gen_formulas(max_depth):
+        for f in params:
+            for g in params:
+                fn = tuple(value_of[v] for v in f)
+                gn = tuple(value_of[v] for v in g)
+                los = los_check(up, formula, {"x": fn, "y": gn})
+                report.checks += 1
+                if not los.agree:
+                    report.mismatches.append((formula, fn, gn))
     return report
 
 

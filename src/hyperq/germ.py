@@ -399,7 +399,13 @@ class BivariateGerm:
         return P.b_mul(self.num, other.den) == P.b_mul(other.num, self.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # num and den are not reduced, so hash what equal families share:
+        # the degree gap in k and the ratio of the leading coefficients
+        # in k, a germ in w (both are multiplicative).
+        if not self.num:
+            return 0
+        lead = Germ(self.num[-1], self.den[-1])
+        return hash((len(self.num) - len(self.den), lead))
 
 
 VAR_K = BivariateGerm((P.ZERO, P.ONE))

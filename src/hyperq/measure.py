@@ -1,11 +1,21 @@
 """The hyperfinite time line and its Loeb and Lebesgue measures.
 
 The time line is the grid {i/N : 0 <= i <= N} for an unlimited germ N
-(default w).  An internal set is a normalized disjoint union of
-germ-endpoint intervals inside [0,1], intersected with the grid.  The
-counting measure of such a set is carried as a pair of exact germ
-bounds that differ by an infinitesimal; its shadow is the Loeb value,
-and on rational-endpoint sets the Loeb value is the Lebesgue measure.
+(default w).  An internal set is a union of germ-endpoint intervals
+inside [0,1], intersected with the grid.  Its normal form is a sorted
+list of cuts, two per piece: a cut (g, side) lies just below the germ g
+(side 0) or just above it (side 1), so a closed lower end or an open
+upper end at g is the cut (g, 0), and an open lower end or a closed
+upper end is (g, 1).  A set is normal when its cuts strictly increase.
+Union, intersection, difference and complement are one merge of two cut
+lists that emits a cut wherever the boolean combination of the two
+memberships changes, so their results are normal by construction; only
+the constructor sorts and merges arbitrary pieces.
+
+The counting measure of an internal set is carried as a pair of exact
+germ bounds that differ by an infinitesimal; its shadow is the Loeb
+value, and on rational-endpoint sets the Loeb value is the Lebesgue
+measure.
 
 Sigma-additivity is exercised through generated families with
 certificates: exact partial values plus an exact limit, obtained either
@@ -17,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import accumulate
 from typing import Callable, Optional
 
 from . import germ as G
@@ -46,6 +58,21 @@ class TimeLine:
 DEFAULT_TIMELINE = TimeLine()
 
 
+def _order(x, y) -> int:
+    """Sign of cut x minus cut y.  The cut (g, 0) lies just below the
+    germ g and (g, 1) just above it; cuts order by germ, then by side."""
+    return G.compare(x[0], y[0]) or x[1] - y[1]
+
+
+def _cuts(pieces) -> list:
+    """Two cuts per piece: closed lower and open upper ends sit below
+    their germ, open lower and closed upper ends above it."""
+    out = []
+    for p in pieces:
+        out += ((p.lo, int(not p.lo_closed)), (p.hi, int(p.hi_closed)))
+    return out
+
+
 @dataclass(frozen=True)
 class Piece:
     lo: Germ
@@ -54,41 +81,62 @@ class Piece:
     hi_closed: bool = True
 
     def is_empty(self) -> bool:
-        c = G.compare(self.lo, self.hi)
-        return c > 0 or (c == 0 and not (self.lo_closed and self.hi_closed))
+        return _order(*_cuts((self,))) >= 0
 
     def width(self) -> Germ:
         return self.hi - self.lo
 
 
-def _sort_key(piece):
-    return (piece.lo, not piece.lo_closed)
+def _sweep(a: list, b: list, keep) -> list:
+    """Cuts of {x : keep(x in A, x in B)} from the sorted cuts of A and B.
+
+    Coinciding cuts are passed together and a cut is emitted wherever
+    ``keep`` changes value, so the output is strictly increasing: its
+    pieces are sorted, non-empty, disjoint and not mergeable.
+    """
+    out, i, j = [], 0, 0
+    in_a = in_b = inside = False
+    while i < len(a) or j < len(b):
+        c = 1 if i == len(a) else -1 if j == len(b) else _order(a[i], b[j])
+        cut = a[i] if c <= 0 else b[j]
+        if c <= 0:
+            in_a, i = not in_a, i + 1
+        if c >= 0:
+            in_b, j = not in_b, j + 1
+        if keep(in_a, in_b) != inside:
+            inside = not inside
+            out.append(cut)
+    return out
 
 
-def _mergeable(a: Piece, b: Piece) -> bool:
-    # b starts at or before the end of a (sorted by lo)
-    c = G.compare(b.lo, a.hi)
-    return c < 0 or (c == 0 and (a.hi_closed or b.lo_closed))
+def _pieces(cuts) -> tuple:
+    pairs = zip(cuts[::2], cuts[1::2])
+    return tuple(Piece(lo[0], hi[0], lo[1] == 0, hi[1] == 1) for lo, hi in pairs)
 
 
-def _merge(a: Piece, b: Piece) -> Piece:
-    if G.compare(a.hi, b.hi) > 0:
-        hi, hc = a.hi, a.hi_closed
-    elif G.compare(a.hi, b.hi) < 0:
-        hi, hc = b.hi, b.hi_closed
-    else:
-        hi, hc = a.hi, a.hi_closed or b.hi_closed
-    lo_closed = a.lo_closed or (b.lo_closed and G.compare(a.lo, b.lo) == 0)
-    return Piece(a.lo, hi, lo_closed, hc)
+def _from_cuts(cuts, timeline) -> "InternalSet":
+    """An InternalSet on a cut list that is already normal."""
+    x = object.__new__(InternalSet)
+    x.pieces, x.timeline = _pieces(cuts), timeline
+    return x
+
+
+_UNIT = [(_ZERO, 0), (_ONE, 1)]  # the cuts of [0,1]
+_SPAN_KEY = cmp_to_key(lambda s, t: _order(s[0], t[0]))
 
 
 class InternalSet:
-    """A normalized disjoint union of germ-endpoint intervals in [0,1]."""
+    """A normalized disjoint union of germ-endpoint intervals in [0,1].
+
+    ``pieces`` is normal: as two cuts per piece it is a strictly
+    increasing cut list.  The constructor validates, sorts and merges
+    arbitrary pieces; set-algebra results leave the cut sweep normal.
+    """
 
     __slots__ = ("timeline", "pieces")
 
     def __init__(self, pieces, timeline: TimeLine = DEFAULT_TIMELINE):
-        kept = []
+        spans = []
         for p in pieces:
             if not isinstance(p, Piece):
                 p = Piece(*p)
@@ -96,15 +144,15 @@ class InternalSet:
                 continue
             if G.compare(p.lo, _ZERO) < 0 or G.compare(p.hi, _ONE) > 0:
                 raise EngineError(f"piece {p} leaves [0,1]")
-            kept.append(p)
-        kept.sort(key=_sort_key)
-        merged = []
-        for p in kept:
-            if merged and _mergeable(merged[-1], p):
-                merged[-1] = _merge(merged[-1], p)
-            else:
-                merged.append(p)
-        self.pieces = tuple(merged)
+            spans.append(_cuts((p,)))
+        spans.sort(key=_SPAN_KEY)
+        cuts = []
+        for lo, hi in spans:
+            if not cuts or _order(lo, cuts[-1]) > 0:
+                cuts += (lo, hi)
+            elif _order(hi, cuts[-1]) > 0:
+                cuts[-1] = hi
+        self.pieces = _pieces(cuts)
         self.timeline = timeline
 
     def __eq__(self, other):
@@ -128,68 +176,33 @@ class InternalSet:
     def is_empty(self) -> bool:
         return not self.pieces
 
-    # -- set algebra (linear sweeps over sorted pieces) ----------------
+    # -- set algebra: one sweep over the cuts of both operands ---------
+
+    def _combine(self, other: "InternalSet", keep) -> "InternalSet":
+        if self.timeline != other.timeline:
+            raise EngineError("sets live on different time lines")
+        cuts = _sweep(_cuts(self.pieces), _cuts(other.pieces), keep)
+        return _from_cuts(cuts, self.timeline)
 
     def union(self, other: "InternalSet") -> "InternalSet":
-        self._check(other)
-        return InternalSet(self.pieces + other.pieces, self.timeline)
+        return self._combine(other, lambda a, b: a or b)
 
     def intersect(self, other: "InternalSet") -> "InternalSet":
-        self._check(other)
-        out = []
-        i = j = 0
-        a, b = self.pieces, other.pieces
-        while i < len(a) and j < len(b):
-            p, q = a[i], b[j]
-            c = G.compare(p.lo, q.lo)
-            if c > 0 or (c == 0 and not p.lo_closed):
-                lo, lc = p.lo, p.lo_closed
-            elif c < 0 or (c == 0 and not q.lo_closed):
-                lo, lc = q.lo, q.lo_closed
-            else:
-                lo, lc = p.lo, p.lo_closed and q.lo_closed
-            c = G.compare(p.hi, q.hi)
-            if c < 0 or (c == 0 and not p.hi_closed):
-                hi, hc = p.hi, p.hi_closed
-            elif c > 0 or (c == 0 and not q.hi_closed):
-                hi, hc = q.hi, q.hi_closed
-            else:
-                hi, hc = p.hi, p.hi_closed and q.hi_closed
-            cand = Piece(lo, hi, lc, hc)
-            if not cand.is_empty():
-                out.append(cand)
-            if G.compare(p.hi, q.hi) <= 0:
-                i += 1
-            else:
-                j += 1
-        return InternalSet(out, self.timeline)
+        return self._combine(other, lambda a, b: a and b)
+
+    def difference(self, other: "InternalSet") -> "InternalSet":
+        return self._combine(other, lambda a, b: a and not b)
 
     def complement(self) -> "InternalSet":
         """The complement within [0,1]."""
-        out = []
-        cursor, cursor_closed = _ZERO, True
-        for p in self.pieces:
-            gap = Piece(cursor, p.lo, cursor_closed, not p.lo_closed)
-            if not gap.is_empty():
-                out.append(gap)
-            cursor, cursor_closed = p.hi, not p.hi_closed
-        tail = Piece(cursor, _ONE, cursor_closed, True)
-        if not tail.is_empty():
-            out.append(tail)
-        return InternalSet(out, self.timeline)
-
-    def difference(self, other: "InternalSet") -> "InternalSet":
-        return self.intersect(other.complement())
+        cuts = _sweep(_UNIT, _cuts(self.pieces), lambda a, b: a and not b)
+        return _from_cuts(cuts, self.timeline)
 
     def subset_of(self, other: "InternalSet") -> bool:
         return self.difference(other).is_empty()
 
     def is_disjoint_from(self, other: "InternalSet") -> bool:
         return self.intersect(other).is_empty()
-
-    def _check(self, other):
-        if self.timeline != other.timeline:
-            raise EngineError("sets live on different time lines")
 
 
 @dataclass(frozen=True)
@@ -203,9 +216,7 @@ def counting_measure(x: InternalSet) -> MeasureValue:
     """Exact germ bounds on |X|/|T| whose shadows agree, plus that
     common shadow as the Loeb value."""
     n = x.timeline.size
-    width = _ZERO
-    for p in x.pieces:
-        width = width + p.width()
+    width = sum((p.width() for p in x.pieces), _ZERO)
     slack = Germ.constant(len(x.pieces))
     lower = (width * n - slack) / (n + 1)
     upper = (width * n + slack) / (n + 1)
@@ -214,10 +225,7 @@ def counting_measure(x: InternalSet) -> MeasureValue:
 
 def loeb_measure(x: InternalSet) -> Fraction:
     """Sum of shadow widths of the normalized pieces, clamped to [0,1]."""
-    total = Fraction(0)
-    for p in x.pieces:
-        lo, hi = G.shadow(p.lo), G.shadow(p.hi)
-        total += hi - lo
+    total = sum((G.shadow(p.hi) - G.shadow(p.lo) for p in x.pieces), Fraction(0))
     return max(Fraction(0), min(Fraction(1), total))
 
 
@@ -249,14 +257,10 @@ def internal_set_from_ast(node, timeline: TimeLine = DEFAULT_TIMELINE) -> Intern
     if isinstance(node, E.Singleton):
         c = E.to_germ(node.value)
         return InternalSet([Piece(c, c, True, True)], timeline)
-    if isinstance(node, E.OrP):
-        return internal_set_from_ast(node.left, timeline).union(
-            internal_set_from_ast(node.right, timeline)
-        )
-    if isinstance(node, E.AndP):
-        return internal_set_from_ast(node.left, timeline).intersect(
-            internal_set_from_ast(node.right, timeline)
-        )
+    if isinstance(node, (E.OrP, E.AndP)):
+        left = internal_set_from_ast(node.left, timeline)
+        right = internal_set_from_ast(node.right, timeline)
+        return left.union(right) if isinstance(node, E.OrP) else left.intersect(right)
     if isinstance(node, E.NotP):
         return internal_set_from_ast(node.child, timeline).complement()
     raise OutOfAlgebraError("expected intervals, singletons and set operations")
@@ -276,7 +280,7 @@ def _all_rational(node) -> bool:
             (node.lo, node.hi) if isinstance(node, E.Interval) else (node.value,)
         )
         return all(E.to_germ(c).is_constant() for c in children)
-    if isinstance(node, E.OrP) or isinstance(node, E.AndP):
+    if isinstance(node, (E.OrP, E.AndP)):
         return _all_rational(node.left) and _all_rational(node.right)
     if isinstance(node, E.NotP):
         return _all_rational(node.child)
@@ -413,22 +417,13 @@ def sigma_limit(
         sets.append(s)
     _check_mode(family, sets, start)
     measures = [loeb_measure(s) for s in sets]
-    if family.mode == "disjoint":
-        values = []
-        acc = Fraction(0)
-        for m in measures:
-            acc += m
-            values.append(acc)
-    else:
-        values = measures
+    values = list(accumulate(measures)) if family.mode == "disjoint" else measures
     materialized_to = start + len(values) - 1
 
     limit = None
     derivation = ""
     if family.mode != "disjoint" and family.schema is not None:
-        width = _ZERO
-        for s in family.schema:
-            width = width + (s.hi - s.lo)
+        width = sum((s.hi - s.lo for s in family.schema), _ZERO)
         if all(
             width.evaluate(start + i) == values[i] for i in range(len(values))
         ):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hyperq import exprlang
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
 
 
@@ -151,3 +152,14 @@ def test_repl_recovers_from_errors():
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("error:")
     assert lines[1] == "0"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 200 + "1" + ")" * 200, "-" * 2000 + "1", "+".join(["1"] * 5000)],
+    ids=["nested-parentheses", "unary-minuses", "long-sum"],
+)
+def test_too_deep_input_is_a_parse_error(expr):
+    r = run("eval", expr)
+    assert r.exit_code == PARSE
+    assert f"deeper than {exprlang.MAX_DEPTH} levels" in r.text

@@ -181,3 +181,11 @@ def test_parse_model_errors():
         F.parse_model("carrier: 0 1\nmember: 0 5\nindex: 2\nw: 0\n")
     with pytest.raises(EngineError):
         F.parse_model("carrier: 0\nindex: 2\n")
+
+
+def test_model_sweep_checks_one_model():
+    base, index = F.parse_model("carrier: 0 1 2\nmember: 0 1\nmember: 1 2\nindex: 3\nw: 1\n")
+    report = F.model_sweep(base, index, 1)
+    # 3 carrier values, each with a constant and a varied parameter function
+    assert report.ok and report.instances == 1
+    assert report.checks == len(F.gen_formulas(1)) * 6 * 6

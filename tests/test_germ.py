@@ -314,6 +314,15 @@ def test_bivariate_equality_cross_multiplies():
     assert parse_family("k/(k+1)") == parse_family("(2*k)/(2*k+2)")
 
 
+@pytest.mark.parametrize(
+    "left, right", [("k/k", "1"), ("k/(k+1)", "(2*k)/(2*k+2)"), ("(k*w+1)/(k*w)", "(k*w^2+w)/(k*w^2)")]
+)
+def test_bivariate_hash_agrees_with_equality(left, right):
+    a, b = parse_family(left), parse_family(right)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_bivariate_pow_and_div():
     f = parse_family("(k+1)^2") / parse_family("k+1")
     assert f.at_k(4) == Germ.constant(5)
