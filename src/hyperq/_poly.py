@@ -139,6 +139,50 @@ def cauchy_bound(p):
     return 1 + worst / top
 
 
+def least_negative(p, start):
+    """The least integer k >= start with p(k) < 0, or None.
+
+    Sturm's theorem counts the distinct real roots of p in each integer
+    range (a, b]; a range without one has the sign of p(b) throughout,
+    so only ranges holding a root are bisected.  The Cauchy bound only
+    tops the first range: beyond it p has the sign of its leading
+    coefficient.
+    """
+    if not p:
+        return None
+
+    def deriv(f):
+        return tuple(i * c for i, c in enumerate(f))[1:]
+
+    # the square-free part has the same real roots, all simple, so its
+    # Sturm chain ends in a nonzero constant and counts roots in (a, b]
+    sq = divmod_(p, gcd(p, deriv(p)))[0]
+    chain = [sq, deriv(sq)]
+    while chain[-1]:
+        r = divmod_(chain[-2], chain[-1])[1]
+        chain.append(scale(r, -1 / abs(lc(r))) if r else ZERO)
+    chain.pop()
+
+    def changes(x):
+        signs = [v > 0 for v in (eval_at(f, x) for f in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    ranges = [(start, max(start, int(cauchy_bound(p)) + 1))]
+    while ranges:  # leftmost range last, so the first hit is the least
+        a, b = ranges.pop()
+        if eval_at(p, a) < 0:
+            return a
+        if a == b:
+            continue
+        if changes(a) == changes(b):
+            if eval_at(p, b) < 0:
+                return a + 1
+            continue
+        mid = (a + b) // 2
+        ranges += [(mid + 1, b), (a, mid)]
+    return None
+
+
 # -- bivariate layer ---------------------------------------------------
 
 B_ZERO = ()

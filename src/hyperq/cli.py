@@ -100,7 +100,8 @@ def run_command(argv) -> CommandResult:
         return _err(command, str(exc), USAGE)
     except ParseError as exc:
         return _err(command, str(exc), PARSE)
-    except (EngineError, ZeroDivisionError, ValueError) as exc:
+    except (EngineError, ZeroDivisionError, ValueError, OSError) as exc:
+        # OSError: a --sigma or --model file that is missing or unreadable
         return _err(command, str(exc), DOMAIN)
 
 

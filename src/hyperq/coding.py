@@ -6,14 +6,18 @@ decidable predicate over germs together with a universe label.  The
 predicate algebra is closed under the boolean operations and under
 countable unions/intersections of monotone interval families, whose
 limiting sets pick up monad-edge predicates (membership "infinitely
-close to the limiting endpoint").
+close to the limiting endpoint").  Monotonicity on every k >= start is
+decided by exact root counting, not sampled, and a member of a union
+gets its least witness index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _poly as P
 from . import germ as G
 from .errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
 from .germ import Germ
@@ -200,22 +204,22 @@ class CountableOpResult:
     family: CodedFamily
 
 
-def _shift_k(g: Germ) -> Germ:
-    # g(k+1) as a germ in k
-    from . import _poly as P
-
-    step = (Fraction(1), Fraction(1))
-    return Germ(P.compose(g.num, step), P.compose(g.den, step))
-
-
-def _direction(g: Germ, start: int, samples: int = 8) -> int:
-    """Eventual monotonicity of k -> g(k): -1 falling, 0 constant,
-    +1 rising.  The sampled prefix must agree with the eventual sign."""
-    sign = G.compare(_shift_k(g), g)
-    for k in range(start, start + samples):
-        step = g.evaluate(k + 1) - g.evaluate(k)
-        if step != 0 and (step > 0) != (sign > 0):
-            raise NonMonotoneGeneratorError(f"endpoint is not monotone at k={k}")
+def _direction(g: Germ, start: int) -> int:
+    """Monotonicity of k -> g(k) on the integers k >= start: -1 falling,
+    0 constant, +1 rising.  Decided, not sampled: no step g(k+1) - g(k)
+    may have the opposite sign of the eventual one, and g may have no
+    pole there."""
+    den = P.scale(g.den, math.lcm(*(c.denominator for c in g.den)))
+    # den has integer values, so den(k)^2 - 1 < 0 exactly where den(k) = 0
+    pole = P.least_negative(P.sub(P.mul(den, den), P.ONE), start)
+    if pole is not None:
+        raise NonMonotoneGeneratorError(f"endpoint has a pole at k={pole}")
+    shift = P.add(P.VAR, P.ONE)  # k + 1
+    step = Germ(P.compose(g.num, shift), P.compose(g.den, shift)) - g
+    sign = G.compare(step, G.ZERO)
+    turn = P.least_negative(P.scale(P.mul(step.num, step.den), sign), start)
+    if turn is not None:
+        raise NonMonotoneGeneratorError(f"endpoint is not monotone at k={turn}")
     return sign
 
 
@@ -272,39 +276,34 @@ def countable_ops(family: CodedFamily, op: str) -> CountableOpResult:
 
 
 def union_witness_bound(result: CountableOpResult, a: Germ) -> int:
-    """An index bound B such that a member germ of the union already
-    lies in family.at(k) for every k >= B, from the eventual-sign
-    threshold of the endpoint germs."""
+    """An index B with a in family.at(k) for every k >= B, for a member
+    germ of a union.  The family is nested, so the least witness is
+    such a bound, and the least one."""
     if result.op != "union":
         raise ValueError("witness bounds exist for unions only")
-    if not membership(result.set, a):
+    k = union_witness(result, a)
+    if k is None:
         raise EngineError("germ is not a member of the union")
-    fam = result.family
-    bound = fam.start
-    sh_a = G.shadow(a)
-    lo_dir = _direction(fam.lo, fam.start)
-    hi_dir = _direction(fam.hi, fam.start)
-    if lo_dir < 0:
-        gap = sh_a - _limit(fam.lo)
-        margin = Germ.constant(_limit(fam.lo) + gap / 2)
-        bound = max(bound, G.eventually_threshold(margin - fam.lo))
-    if hi_dir > 0:
-        gap = _limit(fam.hi) - sh_a
-        margin = Germ.constant(_limit(fam.hi) - gap / 2)
-        bound = max(bound, G.eventually_threshold(fam.hi - margin))
-    return bound
+    return k
 
 
 def union_witness(result: CountableOpResult, a: Germ):
-    """A concrete standard index k with a in family.at(k), for members
-    of a countable union; None if a is not a member."""
+    """The least standard index k with a in family.at(k) for a member a
+    of a countable union; None for a non-member.  countable_ops proved
+    the family nested, so that membership is monotone in k: gallop to a
+    hit, then bisect."""
     if not membership(result.set, a):
         return None
-    bound = union_witness_bound(result, a)
-    for k in range(result.family.start, bound + 1):
-        if membership(result.family.at(k), a):
-            return k
-    raise EngineError("no witness found below the computed bound")
+    if result.op != "union":
+        raise ValueError("witness bounds exist for unions only")
+    fam = result.family
+    lo, hi = fam.start - 1, fam.start  # a is outside family.at(lo)
+    while not membership(fam.at(hi), a):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if membership(fam.at(mid), a) else (mid, hi)
+    return hi
 
 
 # -- parsing -------------------------------------------------------------

@@ -163,3 +163,15 @@ def test_too_deep_input_is_a_parse_error(expr):
     r = run("eval", expr)
     assert r.exit_code == PARSE
     assert f"deeper than {exprlang.MAX_DEPTH} levels" in r.text
+
+
+@pytest.mark.parametrize("command", [["measure", "--sigma"], ["oracle", "--model"]])
+@pytest.mark.parametrize("target", ["missing.txt", "."])
+def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command, target):
+    path = str(tmp_path / target)
+    r = run(*command, path)
+    assert r.exit_code == DOMAIN
+    assert r.text.startswith("error: ") and path in r.text
+    assert main(["--json", *command, path]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == DOMAIN

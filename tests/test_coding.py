@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from helpers import random_germ
 from hyperq import coding as C
-from hyperq.errors import NonMonotoneGeneratorError, UniverseMismatchError
+from hyperq.errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
 from hyperq.germ import OMEGA, Germ, GermClass, classify, parse_germ_in_k
 
 w = OMEGA
@@ -174,3 +175,74 @@ def test_predicate_roundtrip_print_parse():
     text = E.format(C.predicate_to_ast(s.predicate))
     again = C.parse_predicate(text)
     assert C.equivalent_on(s, again, C.standard_catalog())
+
+
+# -- exact monotonicity and least witnesses --------------------------------
+
+
+@pytest.mark.parametrize("lo, turn", [
+    ("(k-12)^2/(k^3+1000)", 12),  # 0 is in family.at(12), but lo rises after it
+    ("(k-1000)^2/(k^3+1)", 1000),
+    ("(k^2-2000000*k+1000000000001)/k^3", 1000000),
+    ("1/(k-5)", 5),  # a pole inside the index range
+])
+def test_late_turning_and_pole_endpoints_refused(lo, turn):
+    began = time.perf_counter()
+    with pytest.raises(NonMonotoneGeneratorError, match=f"k={turn}$"):
+        C.countable_ops(family(lo, "1", start=1), "union")
+    assert time.perf_counter() - began < 1.0
+
+
+def _brute_least_witness(lo, hi, lo_closed, hi_closed, start, c, e):
+    """Least k with c + e/w in the interval at k (e in {-1, 0, 1}), by
+    scanning; a germ c + e/w sorts like the pair (c, e) against (q, 0)."""
+    a = (c, e)
+    k = start
+    while True:
+        lo_k, hi_k = (lo(k), 0), (hi(k), 0)
+        if (lo_k < a or lo_closed and lo_k == a) and (a < hi_k or hi_closed and a == hi_k):
+            return k
+        k += 1
+
+
+WITNESS_FAMILY = ("1/(k+1)", lambda k: Fraction(1, k + 1),
+                  "1 - 1/(k+2)", lambda k: 1 - Fraction(1, k + 2))
+
+
+@pytest.mark.parametrize("start", [0, 1, 3])
+@pytest.mark.parametrize("lo_closed, hi_closed", [(True, True), (False, True), (True, False), (False, False)])
+@pytest.mark.parametrize("c, e", [
+    (Fraction(1, 2), 0), (Fraction(1, 2), 1), (Fraction(1, 2), -1),
+    (Fraction(3, 4), 0), (Fraction(1, 201), 0), (Fraction(1, 201), -1),
+])
+def test_union_witness_is_least(start, lo_closed, hi_closed, c, e):
+    lo_text, lo, hi_text, hi = WITNESS_FAMILY
+    r = C.countable_ops(family(lo_text, hi_text, lo_closed=lo_closed,
+                               hi_closed=hi_closed, start=start), "union")
+    a = Germ.constant(c) + Germ.constant(e) / w
+    k = C.union_witness(r, a)
+    assert k == _brute_least_witness(lo, hi, lo_closed, hi_closed, start, c, e)
+    assert C.union_witness_bound(r, a) == k
+
+
+@pytest.mark.parametrize("lo_closed", [True, False])
+def test_union_witness_20000(lo_closed):
+    lo_text, lo, hi_text, hi = WITNESS_FAMILY
+    r = C.countable_ops(family(lo_text, hi_text, lo_closed=lo_closed), "union")
+    c = Fraction(1, 20001)
+    k = C.union_witness(r, Germ.constant(c))
+    assert k == _brute_least_witness(lo, hi, lo_closed, True, 1, c, 0)
+    assert k == (20000 if lo_closed else 20001)
+    assert C.union_witness_bound(r, Germ.constant(c)) == k
+
+
+def test_union_witness_errors_for_non_members_and_intersections():
+    lo_text, _, hi_text, _ = WITNESS_FAMILY
+    r = C.countable_ops(family(lo_text, hi_text), "union")
+    for outside in (Germ.constant(0), one / w, one - one / w, one, Germ.constant(2)):
+        assert C.union_witness(r, outside) is None
+        with pytest.raises(EngineError):
+            C.union_witness_bound(r, outside)
+    meet = C.countable_ops(family("0", "1/k"), "intersection")
+    with pytest.raises(ValueError):
+        C.union_witness_bound(meet, Germ.constant(0))
