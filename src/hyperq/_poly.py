@@ -123,11 +123,20 @@ def compose(p, q):
     return acc
 
 
+def _power(x, n, one, times):
+    # x^n by repeated squaring: O(log n) calls of times
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else times(acc, x)
+        n >>= 1
+        if n:
+            x = times(x, x)
+    return one if acc is None else acc
+
+
 def pow_(p, n):
-    acc = ONE
-    for _ in range(n):
-        acc = mul(acc, p)
-    return acc
+    return _power(p, n, ONE, mul)
 
 
 def cauchy_bound(p):
@@ -227,6 +236,10 @@ def b_mul(a, b):
         for j, q in enumerate(b):
             out[i + j] = add(out[i + j], mul(p, q))
     return b_trim(out)
+
+
+def b_pow(a, n):
+    return _power(a, n, B_ONE, b_mul)
 
 
 def b_eval_first(a, x):

@@ -496,10 +496,16 @@ def format(node) -> str:
         return node.name
     if isinstance(node, Neg):
         return "-" + _wrap(node.child, _NEG)
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _ADD)} + {_wrap(node.right, _ADD, right=True)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _ADD)} - {_wrap(node.right, _ADD, right=True)}"
+    if isinstance(node, (Add, Sub)):
+        # walk the left spine in a loop, so a long sum does not recurse:
+        # an equal-precedence left operand never takes parentheses
+        parts = []
+        while isinstance(node, (Add, Sub)):
+            op = " + " if isinstance(node, Add) else " - "
+            parts.append(op + _wrap(node.right, _ADD, right=True))
+            node = node.left
+        parts.append(_wrap(node, _ADD))
+        return "".join(reversed(parts))
     if isinstance(node, Mul):
         return f"{_wrap(node.left, _MUL)}*{_wrap(node.right, _MUL, right=True)}"
     if isinstance(node, Div):

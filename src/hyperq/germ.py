@@ -11,6 +11,15 @@ cofinite index set; no choice of ultrafilter is needed.
 Canonical form: numerator and denominator are coprime and the
 denominator is monic, so structural equality coincides with equality
 of germs.  All coefficients are exact; no floating point is used.
+
+The fast paths rest on two invariants of that form.  A monic
+denominator is eventually positive, so the sign of a germ, and hence
+the order of two germs, is the sign of a leading coefficient:
+``compare`` reads it off ``a.num*b.den - b.num*a.den`` (or off the
+valuations alone) without building ``a - b``.  A constant shares no
+factor of positive degree with any polynomial, so a germ whose
+numerator or denominator is constant needs no gcd, only division by
+the leading coefficient of its denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +28,17 @@ import enum
 from fractions import Fraction
 
 from . import _poly as P
-from .errors import DegenerateDiagonalError, ZeroGermError
+from .errors import DegenerateDiagonalError, EngineError, ZeroGermError
+
+# Largest |n| accepted by Germ.__pow__ and BivariateGerm.__pow__.
+MAX_EXPONENT = 1000
+
+
+def _check_exponent(n):
+    if abs(n) > MAX_EXPONENT:
+        raise EngineError(
+            f"exponent {n} exceeds the limit of {MAX_EXPONENT} in absolute value"
+        )
 
 
 class InfiniteShadow:
@@ -66,10 +85,12 @@ class Germ:
         if not num:
             den = P.ONE
         else:
-            g = P.gcd(num, den)
-            if P.degree(g) > 0:
-                num = P.divmod_(num, g)[0]
-                den = P.divmod_(den, g)[0]
+            if len(num) > 1 and len(den) > 1:
+                # a constant shares no factor with anything
+                g = P.gcd(num, den)
+                if P.degree(g) > 0:
+                    num = P.divmod_(num, g)[0]
+                    den = P.divmod_(den, g)[0]
             c = P.lc(den)
             if c != 1:
                 num = P.scale(num, 1 / c)
@@ -110,6 +131,8 @@ class Germ:
         other = Germ._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return Germ(P.add(self.num, other.num), self.den)
         return Germ(
             P.add(P.mul(self.num, other.den), P.mul(other.num, self.den)),
             P.mul(self.den, other.den),
@@ -154,6 +177,7 @@ class Germ:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        _check_exponent(n)
         if n < 0:
             return Germ.constant(1) / self ** (-n)
         return Germ(P.pow_(self.num, n), P.pow_(self.den, n))
@@ -167,6 +191,9 @@ class Germ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its value, since it equals that number
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.num, self.den))
 
     def __lt__(self, other):
@@ -223,12 +250,39 @@ def arith(a: Germ, b: Germ, op: str) -> Germ:
     raise ValueError(f"unknown operation {op!r}")
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
 def compare(a: Germ, b) -> int:
-    """Sign of a - b under eventual dominance: -1, 0 or +1."""
-    d = a - b
-    if d.is_zero():
-        return 0
-    return 1 if P.lc(d.num) > 0 else -1
+    """Sign of a - b under eventual dominance: -1, 0 or +1.
+
+    Denominators are monic, hence eventually positive, so the sign is
+    that of the leading coefficient of a.num*b.den - b.num*a.den; when
+    the valuations differ, the germ of larger valuation decides alone.
+    """
+    if isinstance(b, Germ):
+        bn, bd = b.num, b.den
+    elif isinstance(b, (int, Fraction)):
+        bn, bd = P.const(b), P.ONE
+    else:
+        raise TypeError("a germ compares only with a germ, int or Fraction")
+    an, ad = a.num, a.den
+    if not bn:
+        return _sign(P.lc(an)) if an else 0
+    if not an:
+        return -_sign(P.lc(bn))
+    va, vb = len(an) - len(ad), len(bn) - len(bd)
+    if va != vb:
+        return _sign(P.lc(an)) if va > vb else -_sign(P.lc(bn))
+    if len(an) == len(ad) == len(bd) == 1:  # two constants
+        x, y = an[0], bn[0]
+        return (x > y) - (x < y)
+    if ad == bd:
+        d = P.sub(an, bn)
+    else:
+        d = P.sub(P.mul(an, bd), P.mul(bn, ad))
+    return _sign(P.lc(d)) if d else 0
 
 
 def valuation(a: Germ):
@@ -379,12 +433,10 @@ class BivariateGerm:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        _check_exponent(n)
         if n < 0:
             return BivariateGerm.constant(1) / self ** (-n)
-        acc = BivariateGerm.constant(1)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return BivariateGerm(P.b_pow(self.num, n), P.b_pow(self.den, n))
 
     def at_k(self, n) -> Germ:
         """The member germ at index k = n."""

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from hyperq import exprlang
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
+from hyperq.germ import MAX_EXPONENT
 
 
 def run(*argv):
@@ -175,3 +177,24 @@ def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command, target
     assert main(["--json", *command, path]) == DOMAIN
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "error" and record["code"] == DOMAIN
+
+
+@pytest.mark.parametrize("expr", ["w^1001", "w^-1001"])
+def test_exponent_beyond_the_limit_is_domain_error(capsys, expr):
+    r = run("eval", expr)
+    assert r.exit_code == DOMAIN
+    assert r.text.startswith("error: ") and f"limit of {MAX_EXPONENT}" in r.text
+    assert main(["--json", "eval", expr]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == DOMAIN
+    assert f"limit of {MAX_EXPONENT}" in record["error"]
+
+
+def test_exponent_at_the_limit_prints():
+    start = time.process_time()
+    r = run("eval", "(w+1)^1000")
+    assert time.process_time() - start < 5
+    assert r.exit_code == OK
+    assert r.text.startswith("w^1000 + 1000*w^999 + 499500*w^998 + ")
+    assert r.text.endswith(" + 499500*w^2 + 1000*w + 1")
+    assert r.text.count(" + ") == 1000

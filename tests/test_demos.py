@@ -1,8 +1,4 @@
-"""Smoke test: the quick demo scripts run to completion.
-
-Demo 06 is left out: it repeats the Cantor depth-40 sigma limit that
-test_measure and test_acceptance already run.
-"""
+"""Smoke test: every demo script runs to completion."""
 
 import os
 import subprocess
@@ -22,6 +18,7 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hyperq.__file__))
     "03_finite_ultrapower_oracle.py",
     "04_coded_sets.py",
     "05_nonstandard_hulls.py",
+    "06_loeb_lebesgue_measure.py",
     "07_external_numbers.py",
 ])
 def test_demo_runs(name):

@@ -58,6 +58,18 @@ def test_format_examples():
     assert E.format(node) == "(w + 1)*w"
 
 
+def test_format_walks_a_long_sum_without_recursion():
+    # poly_to_ast nests one Add/Sub per term on the left
+    p = tuple(Fraction((-1) ** (e + 1)) for e in range(3000))
+    terms = [f"w^{e}" for e in range(2999, 1, -1)] + ["w", "1"]
+    expected = terms[0] + "".join(
+        (" + " if e % 2 else " - ") + t for e, t in zip(range(2998, -1, -1), terms[1:])
+    )
+    assert E.format(E.poly_to_ast(p)) == expected
+    node = E.Sub(E.Sub(E.Var("a"), E.Var("b")), E.Add(E.Var("c"), E.Neg(E.Var("d"))))
+    assert E.format(node) == "a - b - (c + -d)"
+
+
 def test_format_precedence_pow_and_neg():
     assert E.format(E.Neg(E.Pow(E.Var("w"), 2))) == "-w^2"
     assert E.format(E.Pow(E.Neg(E.Var("w")), 2)) == "(-w)^2"

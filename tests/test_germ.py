@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_germ, random_limited_germ
-from hyperq.errors import DegenerateDiagonalError, ZeroGermError
+from hyperq import _poly as P
+from hyperq import measure as M
+from hyperq.errors import DegenerateDiagonalError, EngineError, ZeroGermError
 from hyperq.germ import (
+    MAX_EXPONENT,
     NEG_INF,
     OMEGA,
     POS_INF,
@@ -298,8 +301,76 @@ def test_hash_consistent_with_equality():
     assert a == b and hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("q", [3, Fraction(1, 2), 0, -7])
+def test_constant_hash_agrees_with_the_number(q):
+    g = Germ.constant(q)
+    assert g == q and hash(g) == hash(q)
+    assert q in {g} and g in {q}
+
+
 def test_pow_negative_exponent():
     assert w ** -2 == one / w ** 2
+
+
+def test_pow_by_squaring_matches_repeated_products():
+    p = (Fraction(1), Fraction(-2), Fraction(1, 3))
+    acc = P.ONE
+    for n in range(12):
+        assert P.pow_(p, n) == acc
+        acc = P.mul(acc, p)
+    f = parse_family("(k+w)/(k-1)")
+    acc = BivariateGerm.constant(1)
+    for n in range(6):
+        assert f ** n == acc and (f ** n).at_k(3) == f.at_k(3) ** n
+        acc = acc * f
+
+
+@pytest.mark.parametrize("n", [MAX_EXPONENT + 1, -MAX_EXPONENT - 1])
+def test_exponent_beyond_the_limit_is_refused(n):
+    with pytest.raises(EngineError, match=f"limit of {MAX_EXPONENT}"):
+        w ** n
+    with pytest.raises(EngineError, match=f"limit of {MAX_EXPONENT}"):
+        parse_family("k*w") ** n
+    assert w ** -MAX_EXPONENT * w ** MAX_EXPONENT == one
+
+
+# -- fast paths: no gcd beside a constant, no product to compare -----------
+
+
+@pytest.fixture
+def poly_calls(monkeypatch):
+    """Counts of the calls of _poly.gcd and _poly.mul from here on."""
+    calls = {"gcd": 0, "mul": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(P, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(P, name, counted)
+    return calls
+
+
+def test_cantor_sweep_runs_no_gcd(poly_calls):
+    assert M.sigma_limit(M.cantor_family(), 8).limit == 0
+    assert poly_calls["gcd"] == 0
+
+
+def test_compare_multiplies_no_polynomials(poly_calls, monkeypatch):
+    consts = [Germ.constant(Fraction(i, 7)) for i in range(-50, 50)]
+    a, b = w ** 2, w + 1
+    poly_calls["mul"] = 0
+    built = []
+    monkeypatch.setattr(Germ, "__init__", lambda *args: built.append(args))
+    assert [compare(x, consts[51]) for x in consts] == [-1] * 51 + [0] + [1] * 48
+    assert compare(a, b) == 1 and compare(b, a) == -1
+    assert compare(a, 0) == 1 and compare(consts[0], Fraction(-50, 7)) == 0
+    assert poly_calls["mul"] == 0 and built == []
+
+
+def test_sum_over_a_shared_denominator(poly_calls):
+    a, b = w / (w + 1), 1 / (w + 1)
+    poly_calls["mul"] = poly_calls["gcd"] = 0
+    assert a + b == one  # the gcd still cancels w + 1
+    assert poly_calls["mul"] == 0 and poly_calls["gcd"] == 1
 
 
 def test_shadow_of_limited_is_between_bounds():
