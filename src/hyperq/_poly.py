@@ -75,23 +75,19 @@ def mul_xk(p, k):
 
 
 def divmod_(p, q):
+    # schoolbook, top down: step k clears rem[k + dq], so the remainder is rem[:dq]
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     dq, cq = degree(q), lc(q)
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / cq
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return trim(quo), trim(rem)
+    rem = list(p)
+    quo = [Fraction(0)] * max(len(p) - dq, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + dq]
+        if c:
+            c = quo[k] = c / cq
+            for i in range(dq):
+                rem[k + i] -= c * q[i]
+    return trim(quo), trim(rem[:dq])
 
 
 def monic(p):

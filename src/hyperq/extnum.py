@@ -6,6 +6,8 @@ so a neutrix is a tag plus one integer.  The monad of 0 is grade -1, the
 galaxy of 0 is grade 0.  An external number is a germ centre plus a
 neutrix, with Minkowski addition and multiplication; its canonical form
 drops every asymptotic term of the centre that the neutrix absorbs.
+That is one polynomial division: the quotient of num*w^t by den holds
+the expansion of the centre at infinity down to w^-t, t = max(0, -g-1).
 Distributivity is not asserted; products are only guaranteed to contain
 the Minkowski product, which matches the known algebra of these objects.
 """
@@ -15,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _poly as P
+from . import exprlang as E
 from . import germ as G
+from .errors import EngineError
 from .germ import Germ
 
 
@@ -31,13 +35,9 @@ class Neutrix:
             raise ValueError("graded neutrices need a grade; others must not have one")
 
     def contains(self, g: Germ) -> bool:
-        if g.is_zero():
+        if g.is_zero() or self.kind == "all":
             return True
-        if self.kind == "zero":
-            return False
-        if self.kind == "all":
-            return True
-        return G.valuation(g) <= self.grade
+        return self.kind == "graded" and G.valuation(g) <= self.grade
 
     def label(self) -> str:
         if self.kind == "zero":
@@ -90,21 +90,22 @@ def neutrix_scale(a: Germ, n: Neutrix) -> Neutrix:
 def _truncate(center: Germ, neutrix: Neutrix) -> Germ:
     """Drop the absorbed part of the centre: all asymptotic terms of
     valuation at most the neutrix grade."""
-    if neutrix.kind == "all":
+    if neutrix.kind != "graded":
+        return center if neutrix.kind == "zero" else G.ZERO
+    grade = neutrix.grade
+    t = max(0, -grade - 1)
+    # q[i] is the coefficient of w^(i - t) in the expansion at infinity;
+    # the remainder holds only terms below w^-t, all absorbed
+    q = P.divmod_(P.mul_xk(center.num, t), center.den)[0]
+    kept = q[grade + t + 1:]  # the terms above the grade
+    if not kept:
         return G.ZERO
-    if neutrix.kind == "zero":
-        return center
-    kept = G.ZERO
-    rest = center
-    while not rest.is_zero():
-        v = G.valuation(rest)
-        if v <= neutrix.grade:
-            break
-        coeff = P.lc(rest.num) / P.lc(rest.den)
-        term = Germ.constant(coeff) * (G.OMEGA ** v)
-        kept = kept + term
-        rest = rest - term
-    return kept
+    s = next(i for i, c in enumerate(kept) if c)
+    low = grade + 1 + s  # exponent of the lowest kept term
+    if low >= 0:
+        return Germ._make(P.mul_xk(kept[s:], low), P.ONE)
+    # kept[s] != 0, so the numerator shares no factor with w^-low
+    return Germ._make(kept[s:], P.mul_xk(P.ONE, -low))
 
 
 @dataclass(frozen=True)
@@ -148,40 +149,32 @@ def extnum_mul(x: ExternalNumber, y: ExternalNumber) -> ExternalNumber:
 
 def extnum_order(x: ExternalNumber, y: ExternalNumber) -> str:
     """less / greater when the two sets of representatives are fully
-    separated, overlapping otherwise."""
+    separated, overlapping otherwise: they meet exactly when the
+    neutrix sum absorbs the difference of the centres."""
     d = y.center - x.center
-    if d.is_zero():
+    if neutrix_add(x.neutrix, y.neutrix).contains(d):
         return "overlapping"
-    if x.neutrix.kind == "all" or y.neutrix.kind == "all":
-        return "overlapping"
-    v = G.valuation(d)
-    for n in (x.neutrix, y.neutrix):
-        if n.kind == "graded" and v <= n.grade:
-            return "overlapping"
     return "less" if G.compare(d, G.ZERO) > 0 else "greater"
 
 
 def parse_ext(text: str) -> ExternalNumber:
     """Parse an external-number expression such as ``3 + M0`` or
     ``(2 + N(-2))*(1 + M0)``."""
-    from . import exprlang as E
-
     return _from_ast(E.parse(text, "ext"))
 
 
 def _from_ast(node) -> ExternalNumber:
-    from . import exprlang as E
-
     if isinstance(node, E.NeutrixLit):
+        if abs(node.grade) > G.MAX_EXPONENT:
+            raise EngineError(f"neutrix grade {node.grade} exceeds the limit of "
+                              f"{G.MAX_EXPONENT} in absolute value")
         return make(G.ZERO, graded(node.grade))
     if isinstance(node, E.Neg):
-        inner = _from_ast(node.child)
-        return make(-inner.center, inner.neutrix)
+        return _neg(_from_ast(node.child))
     if isinstance(node, E.Add):
         return extnum_add(_from_ast(node.left), _from_ast(node.right))
     if isinstance(node, E.Sub):
-        rhs = _from_ast(node.right)
-        return extnum_add(_from_ast(node.left), make(-rhs.center, rhs.neutrix))
+        return extnum_add(_from_ast(node.left), _neg(_from_ast(node.right)))
     if isinstance(node, E.Mul):
         return extnum_mul(_from_ast(node.left), _from_ast(node.right))
     if _is_germ_only(node):
@@ -189,9 +182,12 @@ def _from_ast(node) -> ExternalNumber:
     raise ValueError("division and powers of neutrices are not supported")
 
 
-def _is_germ_only(node) -> bool:
-    from . import exprlang as E
+def _neg(x: ExternalNumber) -> ExternalNumber:
+    # negation keeps the centre truncated
+    return ExternalNumber(-x.center, x.neutrix)
 
+
+def _is_germ_only(node) -> bool:
     if isinstance(node, E.NeutrixLit):
         return False
     for field in getattr(node, "__dataclass_fields__", {}):

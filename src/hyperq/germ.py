@@ -101,6 +101,14 @@ class Germ:
     # -- constructors --------------------------------------------------
 
     @staticmethod
+    def _make(num, den) -> "Germ":
+        """A germ from trimmed, coprime num and monic den; no gcd, no check."""
+        g = object.__new__(Germ)
+        g.num = num
+        g.den = den
+        return g
+
+    @staticmethod
     def constant(q) -> "Germ":
         return Germ(P.const(q))
 
@@ -141,7 +149,7 @@ class Germ:
     __radd__ = __add__
 
     def __neg__(self):
-        return Germ(P.neg(self.num), self.den)
+        return Germ._make(P.neg(self.num), self.den)
 
     def __sub__(self, other):
         other = Germ._coerce(other)
@@ -180,7 +188,8 @@ class Germ:
         _check_exponent(n)
         if n < 0:
             return Germ.constant(1) / self ** (-n)
-        return Germ(P.pow_(self.num, n), P.pow_(self.den, n))
+        # powers of coprime polynomials stay coprime, of monic ones monic
+        return Germ._make(P.pow_(self.num, n), P.pow_(self.den, n))
 
     # -- order ---------------------------------------------------------
 

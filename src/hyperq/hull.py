@@ -2,11 +2,13 @@
 
 A hull point is a finite representative germ (or germ vector) together
 with a canonical form; two representatives name the same hull point
-exactly when their distance is infinitesimal.  The hull metric is the
-shadow of the germ distance.  Canonicalisation replaces quotient
-formation: over the rationals the canonical form is the constant germ
-of the shadow, over the discrete naturals it is the representative
-itself, and for vectors it is taken componentwise.
+exactly when their distance is infinitesimal.  Canonicalisation
+replaces quotient formation: over the rationals the canonical form is
+the constant germ of the shadow, over the discrete naturals it is the
+representative itself, and for vectors it is taken componentwise.  The
+hull metric is the shadow of the germ distance, computed on the
+canonical points: the shadow is an order-preserving ring map on limited
+germs, so any representatives give the same value.
 
 Note the hull of the rationals realised here is order-isomorphic to the
 rationals again, because every limited rational-function germ has a
@@ -81,12 +83,7 @@ def distance(structure: MetricStructure, x, y) -> Germ:
         return abs(x - y)
     if structure.kind == "naturals":
         return G.ZERO if x == y else G.ONE
-    best = G.ZERO
-    for a, b in zip(x, y):
-        d = abs(a - b)
-        if G.compare(d, best) > 0:
-            best = d
-    return best
+    return max(abs(a - b) for a, b in zip(x, y))
 
 
 def _finite(structure: MetricStructure, pt) -> bool:
@@ -134,12 +131,12 @@ def hull_point(structure: MetricStructure, g) -> HullPoint:
 
 
 def hull_dist(p: HullPoint, q: HullPoint) -> Fraction:
-    """Shadow of the germ distance between two hull points."""
+    """Shadow of the germ distance between the canonical points; it
+    equals that between any representatives, since the shadow is an
+    order-preserving ring map on limited germs."""
     if p.structure != q.structure:
         raise StructureMismatchError("points live in different structures")
-    sh = G.shadow(distance(p.structure, p.representative, q.representative))
-    assert not isinstance(sh, G.InfiniteShadow)
-    return sh
+    return G.shadow(distance(p.structure, p.canonical, q.canonical))
 
 
 def approachable(structure: MetricStructure, g) -> bool:
@@ -147,11 +144,9 @@ def approachable(structure: MetricStructure, g) -> bool:
     rationals every limited germ is approachable, in the discrete
     naturals only the standard points are."""
     pt = _as_point(structure, g)
-    if structure.kind == "rationals":
-        return G.is_limited(pt)
     if structure.kind == "naturals":
         return pt.is_constant()
-    return all(G.is_limited(c) for c in pt)
+    return _finite(structure, pt)
 
 
 # -- completeness: limits along declared Cauchy families -----------------
@@ -190,18 +185,16 @@ def hull_limit(seq: HullSequence, check_depth: int = 8) -> HullPoint:
     for j in range(check_depth + 1):
         k0 = max(seq.modulus(j), seq.start)
         tol = Fraction(1, j + 1)
-        samples = [seq.member(k) for k in (k0, k0 + 1, k0 + 5)]
-        for a in samples:
-            for b in samples:
-                if hull_dist(a, b) >= tol:
-                    raise ModulusViolationError(
-                        f"members past modulus({j})={k0} are {hull_dist(a, b)} apart, "
-                        f"not within 1/{j + 1}"
-                    )
-        for a in samples:
-            if hull_dist(limit, a) > tol:
+        a, b, c = (seq.member(k) for k in (k0, k0 + 1, k0 + 5))
+        for x, y in ((a, b), (a, c), (b, c)):
+            if (d := hull_dist(x, y)) >= tol:
                 raise ModulusViolationError(
-                    f"limit is {hull_dist(limit, a)} from member at tolerance 1/{j + 1}"
+                    f"members past modulus({j})={k0} are {d} apart, not within 1/{j + 1}"
+                )
+        for x in (a, b, c):
+            if (d := hull_dist(limit, x)) > tol:
+                raise ModulusViolationError(
+                    f"limit is {d} from member at tolerance 1/{j + 1}"
                 )
     return limit
 

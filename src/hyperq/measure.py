@@ -214,19 +214,22 @@ class MeasureValue:
 
 def counting_measure(x: InternalSet) -> MeasureValue:
     """Exact germ bounds on |X|/|T| whose shadows agree, plus that
-    common shadow as the Loeb value."""
+    common shadow, the shadow of the summed width, as the Loeb value."""
     n = x.timeline.size
     width = sum((p.width() for p in x.pieces), _ZERO)
     slack = Germ.constant(len(x.pieces))
     lower = (width * n - slack) / (n + 1)
     upper = (width * n + slack) / (n + 1)
-    return MeasureValue(loeb_measure(x), lower, upper)
+    return MeasureValue(_clamp(G.shadow(width)), lower, upper)
 
 
 def loeb_measure(x: InternalSet) -> Fraction:
     """Sum of shadow widths of the normalized pieces, clamped to [0,1]."""
-    total = sum((G.shadow(p.hi) - G.shadow(p.lo) for p in x.pieces), Fraction(0))
-    return max(Fraction(0), min(Fraction(1), total))
+    return _clamp(sum((G.shadow(p.hi) - G.shadow(p.lo) for p in x.pieces), Fraction(0)))
+
+
+def _clamp(q: Fraction) -> Fraction:
+    return max(Fraction(0), min(Fraction(1), q))
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,27 @@ def test_exponent_beyond_the_limit_is_domain_error(capsys, expr):
     assert f"limit of {MAX_EXPONENT}" in record["error"]
 
 
+@pytest.mark.parametrize("grade", [-1001, 1001])
+def test_neutrix_grade_beyond_the_limit_is_domain_error(capsys, grade):
+    expr = f"1/(w+1) + N({grade})"
+    r = run("ext", expr)
+    assert r.exit_code == DOMAIN
+    assert r.text == (f"error: neutrix grade {grade} exceeds the limit of "
+                      f"{MAX_EXPONENT} in absolute value")
+    assert main(["--json", "ext", expr]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == DOMAIN
+    assert f"limit of {MAX_EXPONENT}" in record["error"]
+
+
+def test_neutrix_grade_at_the_limit_is_fast():
+    start = time.process_time()
+    r = run("ext", "1/(w+1) + N(-1000)")
+    assert time.process_time() - start < 1
+    assert r.exit_code == OK
+    assert r.text.startswith("(w^998 - w^997 + ") and r.text.endswith(")/w^999 + N(-1000)")
+
+
 def test_exponent_at_the_limit_prints():
     start = time.process_time()
     r = run("eval", "(w+1)^1000")

@@ -139,6 +139,34 @@ def test_order_examples():
     assert X.extnum_order(X.parse_ext("4 + M0"), X.parse_ext("3 + M0")) == "greater"
 
 
+def _per_kind_order(x, y):
+    """The order decided kind by kind, as a reference for extnum_order."""
+    d = y.center - x.center
+    if d.is_zero():
+        return "overlapping"
+    if x.neutrix.kind == "all" or y.neutrix.kind == "all":
+        return "overlapping"
+    v = valuation(d)
+    for n in (x.neutrix, y.neutrix):
+        if n.kind == "graded" and v <= n.grade:
+            return "overlapping"
+    return "less" if compare(d, Germ.constant(0)) > 0 else "greater"
+
+
+def test_order_agrees_with_the_per_kind_definition():
+    rng = random.Random(51)
+    neutrices = [X.ZERO_N, X.ALL_N] + [X.graded(g) for g in range(-3, 3)]
+    centres = [Germ.constant(0), one, w, 1 / w] + [random_germ(rng) for _ in range(8)]
+    points = [X.make(c, n) for c in centres for n in neutrices]
+    seen = set()
+    for x in points:
+        for y in points:
+            expected = _per_kind_order(x, y)
+            assert X.extnum_order(x, y) == expected
+            seen.add(expected)
+    assert seen == {"less", "greater", "overlapping"}
+
+
 def test_order_separation_is_genuine():
     rng = random.Random(49)
     x, y = X.parse_ext("1/w + N(-2)"), X.parse_ext("2/w + N(-2)")

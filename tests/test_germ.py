@@ -373,6 +373,23 @@ def test_sum_over_a_shared_denominator(poly_calls):
     assert poly_calls["mul"] == 0 and poly_calls["gcd"] == 1
 
 
+def test_negation_and_powers_run_no_gcd(poly_calls):
+    g = parse_germ("(w^2+3)/(w+1)")
+    poly_calls["gcd"] = 0
+    assert (-g).num == P.neg(g.num) and (-g).den == g.den
+    big = g ** 60
+    assert poly_calls["gcd"] == 0
+    assert big.den == P.pow_(g.den, 60) and big.evaluate(2) == g.evaluate(2) ** 60
+
+
+def test_difference_runs_one_gcd(poly_calls):
+    a, b = parse_germ("(w^2+1)/(w^3+2)"), parse_germ("(w+3)/(w^2-5)")
+    poly_calls["gcd"] = 0
+    d = a - b
+    assert poly_calls["gcd"] == 1
+    assert d.evaluate(7) == a.evaluate(7) - b.evaluate(7)
+
+
 def test_shadow_of_limited_is_between_bounds():
     rng = random.Random(3)
     for _ in range(30):

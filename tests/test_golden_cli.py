@@ -46,6 +46,16 @@ CASES = [
     ["measure", "~(0,1)"],
     ["measure", "[0,1/2] & [1/2,1]"],
     ["measure", "[0,1/3] & (1/3,1]"],
+    # external numbers at deep, shallow and positive neutrix grades
+    ["ext", "1/(w+1) + N(-12)"],
+    ["ext", "(w^3+2)/(w^2-w+5) + N(-40)"],
+    ["ext", "(w^5+1)/(w+3) + N(2)"],
+    # hull distances beyond the rationals, and limits that pass and fail
+    ["hull", "dist", "v:3", "1-1/w, 2, w/(w+1)", "1, 2+1/w, 1/2"],
+    ["hull", "dist", "n", "w^2", "w^2+w"],
+    ["hull", "approachable", "v:2", "1/w, 3"],
+    ["hull", "limit", "1/(k+1) + w/(w+1)"],
+    ["hull", "limit", "1/(k+1)", "--slope", "0", "--intercept", "0"],
     # one case per error exit code
     ["frobnicate", "1"],
     ["eval", "1/0"],

@@ -10,7 +10,7 @@ from hyperq.errors import (
     NotFinitePointError,
     StructureMismatchError,
 )
-from hyperq.germ import OMEGA, Germ, parse_family, parse_germ, shadow
+from hyperq.germ import OMEGA, Germ, diagonal, parse_family, parse_germ, shadow
 
 w = OMEGA
 one = Germ.constant(1)
@@ -121,7 +121,75 @@ def test_equivalent_representatives_are_congruent():
         assert H.hull_dist(p, third) == H.hull_dist(q, third)
 
 
+@pytest.mark.parametrize("structure", [H.RATIONALS, H.NATURALS, H.vector(3)], ids=["q", "n", "v:3"])
+def test_dist_is_the_shadow_of_the_representatives_distance(structure):
+    rng = random.Random(52)
+
+    def rep():
+        if structure.kind == "naturals":
+            return random_natural_germ(rng)
+        if structure.kind == "vector":
+            return tuple(random_limited_germ(rng) for _ in range(structure.dim))
+        return random_limited_germ(rng)
+
+    for _ in range(40):
+        p, q = H.hull_point(structure, rep()), H.hull_point(structure, rep())
+        expected = shadow(H.distance(structure, p.representative, q.representative))
+        assert H.hull_dist(p, q) == expected
+
+
 # -- limits -------------------------------------------------------------------
+
+
+def _first_violation(seq, check_depth=8):
+    """The first message of the modulus check over all ordered sample
+    pairs, with distances taken on representatives; None if it passes."""
+    def dist(p, q):
+        return shadow(H.distance(seq.structure, p.representative, q.representative))
+
+    limit = H.hull_point(seq.structure, diagonal(seq.family))
+    for j in range(check_depth + 1):
+        k0 = max(seq.modulus(j), seq.start)
+        tol = Fraction(1, j + 1)
+        samples = [seq.member(k) for k in (k0, k0 + 1, k0 + 5)]
+        for a in samples:
+            for b in samples:
+                if dist(a, b) >= tol:
+                    return (f"members past modulus({j})={k0} are {dist(a, b)} apart, "
+                            f"not within 1/{j + 1}")
+        for a in samples:
+            if dist(limit, a) > tol:
+                return f"limit is {dist(limit, a)} from member at tolerance 1/{j + 1}"
+    return None
+
+
+@pytest.mark.parametrize("family, modulus, start", [
+    ("1/(k+1)", (0, 0), 0),  # breaks the modulus among members
+    ("k/(k+1)", (0, 0), 0),
+    ("3/(k+1) + 1/w", (1, 0), 0),
+    ("w/(w+k)", (1, 1), 0),  # members tend to 1, the diagonal is 1/2
+    ("1/(k+1) + k/w", (1, 1), 0),  # members tend to 0, the diagonal is 1
+    ("k/(k+1)", (1, 1), 0),  # passes
+    ("1/k + w/(w+1)", (2, 3), 1),  # passes
+])
+def test_limit_reports_the_first_violation(family, modulus, start):
+    seq = H.HullSequence(H.RATIONALS, parse_family(family), H.Modulus(*modulus), start)
+    expected = _first_violation(seq)
+    if expected is None:
+        assert H.hull_limit(seq) == H.hull_point(H.RATIONALS, diagonal(seq.family))
+    else:
+        with pytest.raises(ModulusViolationError) as info:
+            H.hull_limit(seq)
+        assert str(info.value) == expected
+
+
+def test_limit_computes_at_most_six_distances_per_tolerance(monkeypatch):
+    calls = []
+    dist = H.hull_dist
+    monkeypatch.setattr(H, "hull_dist", lambda p, q: calls.append(1) or dist(p, q))
+    seq = H.HullSequence(H.RATIONALS, parse_family("k/(k+1)"), H.Modulus(1, 1))
+    H.hull_limit(seq, check_depth=8)
+    assert len(calls) <= 6 * 9
 
 
 def test_limit_of_ratio_family():

@@ -78,6 +78,14 @@ def test_bounds_differ_by_an_infinitesimal():
         assert shadow(mv.lower) == mv.loeb == shadow(mv.upper)
 
 
+def test_counting_measure_reads_loeb_off_its_width(monkeypatch):
+    sets = [iset(t) for t in ("[0,1]", "[1/w, 1/2 + 1/w] | (2/3, 1 - 1/w^2)",
+                              "{1/3} | [1/2, 1/2 + 1/w)", "~[1/4, 3/4 - 1/w]")]
+    expected = [M.loeb_measure(x) for x in sets]
+    monkeypatch.setattr(M, "loeb_measure", lambda x: pytest.fail("walked the pieces twice"))
+    assert [M.counting_measure(x).loeb for x in sets] == expected
+
+
 # -- Loeb measure ---------------------------------------------------------------
 
 
