@@ -1,5 +1,6 @@
-# Coded sets: external collections of germs carried as decidable
-# predicates, with boolean and countable operations.
+# Coded sets: external collections of germs carried as cut lists at
+# external numbers c + N, with boolean and countable operations and
+# exact emptiness, inclusion and equality.
 # Run with: python demos/04_coded_sets.py
 
 from fractions import Fraction
@@ -26,8 +27,8 @@ for text in ("1/w", "2 + 5/w", "7/3", "w"):
 print()
 print("== the only standard infinitesimal is zero ==")
 both = C.setops(C.parse_predicate("std"), inf, "intersection")
-hits = [g for g in C.standard_catalog() if C.membership(both, g)]
-print("catalog members:", [str(g) for g in hits])
+print("normal form of std & inf:", C.normal_form(both))
+print("std & inf equals {0}    :", C.equivalent(both, C.parse_predicate("{0}")))
 
 print()
 print("== countable union of [1/k, 1]: the external interval (0, 1] ==")

@@ -1,177 +1,187 @@
-"""Predicate-backed codes for external collections of germs.
+"""Coded sets: external collections of germs in one cut normal form.
 
-External sets of definable hyperrationals are proper classes when taken
-extensionally, so they are carried intensionally: a CodedSet is a
-decidable predicate over germs together with a universe label.  The
-predicate algebra is closed under the boolean operations and under
-countable unions/intersections of monotone interval families, whose
-limiting sets pick up monad-edge predicates (membership "infinitely
-close to the limiting endpoint").  Monotonicity on every k >= start is
-decided by exact root counting, not sampled, and a member of a union
-gets its least witness index.
+Every convex external set of germs here is an interval whose ends are
+external numbers c + N (Dinis and van den Berg 2019), so a coded set is
+kept as measure's cut lists, whose cuts sit just below or above a germ
+or a whole external number: ``limited`` is 0 + G0, ``inf`` is 0 + M0,
+``monad(c)`` is c + M0.  ``std`` is not convex, so a set carries one
+list for its standard members and one for the others; ``std`` is the
+whole line in the first and empty in the second.  Emptiness, inclusion
+and equality are decided by reducing the standard list to its trace on
+the rationals and letting the other forget on which side of a standard
+point its cuts sit; two sets are equal exactly when the reduced lists
+are.  Countable unions and intersections of families proved monotone
+by exact root counting cut at the monads of their limits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, reduce
+from typing import NamedTuple
 
 from . import _poly as P
+from . import exprlang as E
+from . import extnum as X
 from . import germ as G
 from .errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
 from .germ import Germ
+from .measure import Piece, _cuts, _order, _sweep, fold_set, piece_of
 
-# -- predicate nodes -----------------------------------------------------
+# -- the normal form -----------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Limited:
-    pass
-
-
-@dataclass(frozen=True)
-class Infinitesimal:
-    # includes zero: the only standard infinitesimal
-    pass
+_LINE = X.make(G.ZERO, X.ALL_N)
+_WHOLE = ((_LINE, 0), (_LINE, 1))  # the cuts of the whole line
+_CUT_KEY = cmp_to_key(_order)
+_KEEP = {"union": lambda a, b: a or b, "intersection": lambda a, b: a and b,
+         "difference": lambda a, b: a and not b}
 
 
-@dataclass(frozen=True)
-class StandardPred:
-    pass
+class Cuts(NamedTuple):
+    """A coded set's normal form: strictly increasing cut lists that
+    decide its standard members (``std``) and its other members."""
+
+    std: tuple
+    rest: tuple
+
+    def combine(self, other: "Cuts", op: str) -> "Cuts":
+        keep = _KEEP[op]
+        return Cuts(tuple(_sweep(self.std, other.std, keep)),
+                    tuple(_sweep(self.rest, other.rest, keep)))
+
+    def union(self, other: "Cuts") -> "Cuts":
+        return self.combine(other, "union")
+
+    def intersect(self, other: "Cuts") -> "Cuts":
+        return self.combine(other, "intersection")
+
+    def complement(self) -> "Cuts":
+        return Cuts(_WHOLE, _WHOLE).combine(self, "difference")
 
 
-@dataclass(frozen=True)
-class InInterval:
-    lo: Germ
-    hi: Germ
-    lo_closed: bool
-    hi_closed: bool
+# the connectives of the set language, on normal forms
+POr, PAnd, PNot = Cuts.union, Cuts.intersect, Cuts.complement
 
 
-@dataclass(frozen=True)
-class Monad:
-    """Infinitely close to a fixed germ (difference infinitesimal or 0)."""
-
-    center: Germ
-
-
-@dataclass(frozen=True)
-class PNot:
-    child: object
+def _convex(lo, hi) -> Cuts:
+    """The germs between two cuts, in both lists."""
+    span = (lo, hi) if _order(lo, hi) < 0 else ()
+    return Cuts(span, span)
 
 
-@dataclass(frozen=True)
-class PAnd:
-    left: object
-    right: object
+def InInterval(lo: Germ, hi: Germ, lo_closed: bool = True, hi_closed: bool = True) -> Cuts:
+    return _convex(*_cuts((Piece(lo, hi, lo_closed, hi_closed),)))
 
 
-@dataclass(frozen=True)
-class POr:
-    left: object
-    right: object
+def monad(center: Germ) -> Cuts:
+    """The germs infinitely close to ``center``: center + M0."""
+    x = X.make(center, X.M0)
+    return _convex((x, 0), (x, 1))
 
 
-EMPTY_PRED = PAnd(Infinitesimal(), PNot(Limited()))  # unsatisfiable
-
-
-def satisfies(pred, a: Germ) -> bool:
-    """Decide membership of a germ, using only comparison and
-    classification."""
-    if isinstance(pred, Limited):
-        return G.is_limited(a)
-    if isinstance(pred, Infinitesimal):
-        return G.is_infinitesimal(a)
-    if isinstance(pred, StandardPred):
-        return a.is_constant()
-    if isinstance(pred, InInterval):
-        lo = G.compare(a, pred.lo)
-        if lo < 0 or (lo == 0 and not pred.lo_closed):
-            return False
-        hi = G.compare(a, pred.hi)
-        if hi > 0 or (hi == 0 and not pred.hi_closed):
-            return False
-        return True
-    if isinstance(pred, Monad):
-        return G.is_infinitesimal(a - pred.center)
-    if isinstance(pred, PNot):
-        return not satisfies(pred.child, a)
-    if isinstance(pred, PAnd):
-        return satisfies(pred.left, a) and satisfies(pred.right, a)
-    if isinstance(pred, POr):
-        return satisfies(pred.left, a) or satisfies(pred.right, a)
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-# -- coded sets ----------------------------------------------------------
+_GALAXY = X.make(G.ZERO, X.G0)
+_ATOMS = {"limited": _convex((_GALAXY, 0), (_GALAXY, 1)), "inf": monad(G.ZERO),
+          "std": Cuts(_WHOLE, ())}
 
 
 @dataclass(frozen=True)
 class CodedSet:
-    predicate: object
+    predicate: Cuts  # the normal form
     universe: str = "V"
+
+    def __str__(self):
+        return E.format(predicate_to_ast(self.predicate))
 
 
 def membership(s: CodedSet, a: Germ) -> bool:
-    return satisfies(s.predicate, a)
+    """Whether a is in s: an odd number of its list's cuts lie below a."""
+    cuts = s.predicate.std if a.is_constant() else s.predicate.rest
+    return bisect_right(cuts, _CUT_KEY((a, 0)), key=_CUT_KEY) % 2 == 1
 
 
 def setops(s1: CodedSet, s2: CodedSet, op: str) -> CodedSet:
-    """union | intersection | difference, pointwise on predicates."""
+    """union | intersection | difference, one sweep per cut list."""
     if s1.universe != s2.universe:
-        raise UniverseMismatchError(
-            f"universes differ: {s1.universe!r} vs {s2.universe!r}"
-        )
-    if op == "union":
-        pred = POr(s1.predicate, s2.predicate)
-    elif op == "intersection":
-        pred = PAnd(s1.predicate, s2.predicate)
-    elif op == "difference":
-        pred = PAnd(s1.predicate, PNot(s2.predicate))
-    else:
+        raise UniverseMismatchError(f"universes differ: {s1.universe!r} vs {s2.universe!r}")
+    if op not in _KEEP:
         raise ValueError(f"unknown set operation {op!r}")
-    return CodedSet(pred, s1.universe)
+    return CodedSet(s1.predicate.combine(s2.predicate, op), s1.universe)
 
 
 def empty_set(universe: str = "V") -> CodedSet:
-    return CodedSet(EMPTY_PRED, universe)
+    return CodedSet(Cuts((), ()), universe)
 
 
-def is_empty_on(s: CodedSet, catalog) -> bool:
-    return not any(membership(s, a) for a in catalog)
+# -- exact decisions -------------------------------------------------------
+
+_ENDS = ((-G.OMEGA, 0), (G.OMEGA, 1))  # below and above every rational
 
 
-def subset_on(s1: CodedSet, s2: CodedSet, catalog) -> bool:
-    return is_empty_on(setops(s1, s2, "difference"), catalog)
+def _trace(cut):
+    """A cut with the same rationals below it as ``cut``: a rational
+    cut or one of _ENDS.  The only rational the cut can sit at is the
+    shadow q of its centre."""
+    x, side = cut
+    if isinstance(x, Germ):
+        x = X.ExternalNumber(x, X.ZERO_N)
+    q = G.shadow(x.center)
+    if isinstance(q, G.InfiniteShadow):
+        return _ENDS[q.sign > 0]
+    q = Germ.constant(q)
+    if not x.contains(q):  # x lies on one side of q
+        return (q, int(G.compare(x.center, q) > 0))
+    return _ENDS[side] if x.neutrix.contains(G.ONE) else (q, side)
 
 
-def equivalent_on(s1: CodedSet, s2: CodedSet, catalog) -> bool:
-    return all(membership(s1, a) == membership(s2, a) for a in catalog)
+def _cancel(cuts) -> tuple:
+    """Drop coinciding neighbours in pairs: a cut passed twice is void."""
+    out = []
+    for cut in cuts:
+        if out and out[-1] == cut:
+            out.pop()
+        else:
+            out.append(cut)
+    return tuple(out)
+
+
+def normal_form(s: CodedSet) -> CodedSet:
+    """The reduced normal form.  Between two distinct reduced cuts lies
+    a germ of the list's kind, so equal sets have equal reduced forms."""
+    std, rest = s.predicate
+    # in the non-standard list a cut at a standard point moves below it:
+    # only that point notices, and the standard list decides it
+    rest = ((x, 0) if isinstance(x, Germ) and x.is_constant() else (x, side) for x, side in rest)
+    return CodedSet(Cuts(_cancel(map(_trace, std)), _cancel(rest)), s.universe)
+
+
+def is_empty(s: CodedSet) -> bool:
+    return normal_form(s).predicate == ((), ())
+
+
+def subset(s1: CodedSet, s2: CodedSet) -> bool:
+    return is_empty(setops(s1, s2, "difference"))
+
+
+def equivalent(s1: CodedSet, s2: CodedSet) -> bool:
+    """Sets over different universes are never equivalent."""
+    return normal_form(s1) == normal_form(s2)
 
 
 def standard_catalog():
-    """Germs spanning every classification tag, used to compare coded
-    sets pointwise."""
-    w = G.OMEGA
-    one = Germ.constant(1)
-    items = [Germ.constant(0)]
-    for q in (1, -1, Fraction(1, 2), Fraction(-1, 3), 2, -2, Fraction(7, 3),
-              Fraction(1, 4), Fraction(3, 4), 1000000):
-        items.append(Germ.constant(q))
-    for q in (1, -1, Fraction(1, 2), -2, Fraction(1, 3)):
-        items.append(Germ.constant(q) / w)
-        items.append(Germ.constant(q) / (w * w))
-        items.append(Germ.constant(q) * w)
-    for q in (Fraction(1, 2), 1, 2, -1, Fraction(1, 4)):
-        items.append(Germ.constant(q) + one / w)
-        items.append(Germ.constant(q) - one / (w * w))
-    items.append((2 * w + 3) / (w + 1))
-    items.append(w / (w + 1))
-    items.append(w * w + w)
-    items.append(-(w * w) + 1)
-    items.append(one / (w + 1))
-    items.append((w + 2) / (w ** 3 - w))
+    """Germs spanning every classification tag, a cross-check for the
+    exact decisions."""
+    w, one, c = G.OMEGA, G.ONE, Germ.constant
+    items = [c(q) for q in (0, 1, -1, Fraction(1, 2), Fraction(-1, 3), 2, -2,
+                            Fraction(7, 3), Fraction(1, 4), Fraction(3, 4), 1000000)]
+    items += [g for q in (1, -1, Fraction(1, 2), -2, Fraction(1, 3))
+              for g in (c(q) / w, c(q) / (w * w), c(q) * w)]
+    items += [g for q in (Fraction(1, 2), 1, 2, -1, Fraction(1, 4))
+              for g in (c(q) + one / w, c(q) - one / (w * w))]
+    items += [(2 * w + 3) / (w + 1), w / (w + 1), w * w + w, -(w * w) + 1,
+              one / (w + 1), (w + 2) / (w ** 3 - w)]
     return tuple(items)
 
 
@@ -223,23 +233,21 @@ def _direction(g: Germ, start: int) -> int:
     return sign
 
 
-def _limit(g: Germ) -> Fraction:
+def _limit(g: Germ) -> Germ:
     sh = G.shadow(g)
     if isinstance(sh, G.InfiniteShadow):
         raise EngineError("endpoint diverges; no limiting interval exists")
-    return sh
+    return Germ.constant(sh)
 
 
 def countable_ops(family: CodedFamily, op: str) -> CountableOpResult:
     """The union or intersection over all standard k of a nested
     monotone interval family, as a coded set.
 
-    A union needs the intervals to grow (left endpoint falling, right
-    rising); an intersection needs them to shrink.  A strictly moving
-    endpoint contributes an external edge at its limit L: a union
-    admits exactly the germs beyond the monad of L, an intersection
-    keeps the whole monad.  Constant endpoints keep their flags.
-    """
+    A union needs the intervals to grow, an intersection needs them to
+    shrink.  A strictly moving end cuts at L + M0 for its limit L: a
+    union takes the germs beyond that monad, an intersection keeps it.
+    Constant ends keep their flags."""
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown countable operation {op!r}")
     lo_dir = _direction(family.lo, family.start)
@@ -248,31 +256,11 @@ def countable_ops(family: CodedFamily, op: str) -> CountableOpResult:
         raise NonMonotoneGeneratorError("family is not growing; union needs nested intervals")
     if op == "intersection" and (lo_dir < 0 or hi_dir > 0):
         raise NonMonotoneGeneratorError("family is not shrinking; intersection needs nested intervals")
-
-    lo_limit = _limit(family.lo)
-    hi_limit = _limit(family.hi)
-    left = Germ.constant(lo_limit)
-    right = Germ.constant(hi_limit)
-    # outer guards; the opposite side's conjunct carries the real bound
-    lo_guard = Germ.constant(lo_limit - 1)
-    hi_guard = Germ.constant(hi_limit + 1)
-
-    if lo_dir == 0:
-        lo_pred = InInterval(left, hi_guard, family.lo_closed, True)
-    elif op == "union":
-        lo_pred = PAnd(InInterval(left, hi_guard, False, True), PNot(Monad(left)))
-    else:
-        lo_pred = POr(InInterval(left, hi_guard, True, True), Monad(left))
-
-    if hi_dir == 0:
-        hi_pred = InInterval(lo_guard, right, True, family.hi_closed)
-    elif op == "union":
-        hi_pred = PAnd(InInterval(lo_guard, right, True, False), PNot(Monad(right)))
-    else:
-        hi_pred = POr(InInterval(lo_guard, right, True, True), Monad(right))
-
-    pred = PAnd(lo_pred, hi_pred)
-    return CountableOpResult(CodedSet(pred, family.universe), op, family)
+    lo, hi = _limit(family.lo), _limit(family.hi)
+    union = op == "union"
+    lo_cut = (X.make(lo, X.M0), int(union)) if lo_dir else (lo, int(not family.lo_closed))
+    hi_cut = (X.make(hi, X.M0), int(not union)) if hi_dir else (hi, int(family.hi_closed))
+    return CountableOpResult(CodedSet(_convex(lo_cut, hi_cut), family.universe), op, family)
 
 
 def union_witness_bound(result: CountableOpResult, a: Germ) -> int:
@@ -306,71 +294,65 @@ def union_witness(result: CountableOpResult, a: Germ):
     return hi
 
 
-# -- parsing -------------------------------------------------------------
+# -- parsing and printing ---------------------------------------------------
 
 
-def predicate_from_ast(node, var: str = "w"):
-    from . import exprlang as E
+def predicate_from_ast(node, var: str = "w") -> Cuts:
+    def atom(leaf):
+        if isinstance(leaf, E.PredAtom):
+            return _ATOMS[leaf.name]
+        if isinstance(leaf, E.MonadOf):
+            return monad(E.to_germ(leaf.center, var))
+        p = piece_of(leaf, var)
+        return InInterval(p.lo, p.hi, p.lo_closed, p.hi_closed)
 
-    if isinstance(node, E.PredAtom):
-        return {
-            "limited": Limited(),
-            "inf": Infinitesimal(),
-            "std": StandardPred(),
-        }[node.name]
-    if isinstance(node, E.MonadOf):
-        return Monad(E.to_germ(node.center, var))
-    if isinstance(node, E.Interval):
-        return InInterval(
-            E.to_germ(node.lo, var),
-            E.to_germ(node.hi, var),
-            node.lo_closed,
-            node.hi_closed,
-        )
-    if isinstance(node, E.Singleton):
-        c = E.to_germ(node.value, var)
-        return InInterval(c, c, True, True)
-    if isinstance(node, E.NotP):
-        return PNot(predicate_from_ast(node.child, var))
-    if isinstance(node, E.AndP):
-        return PAnd(
-            predicate_from_ast(node.left, var), predicate_from_ast(node.right, var)
-        )
-    if isinstance(node, E.OrP):
-        return POr(
-            predicate_from_ast(node.left, var), predicate_from_ast(node.right, var)
-        )
-    raise EngineError("not a set expression")
+    return fold_set(node, atom)
 
 
-def predicate_to_ast(pred, var: str = "w"):
-    from . import exprlang as E
+def predicate_to_ast(pred: Cuts, var: str = "w"):
+    """A set expression whose normal form is ``pred``."""
+    std, rest = pred
+    if std == rest:
+        return _cuts_ast(std, var)
+    parts = zip((E.PredAtom("std"), E.NotP(E.PredAtom("std"))), (std, rest))
+    return reduce(E.OrP, [p if cuts == _WHOLE else E.AndP(p, _cuts_ast(cuts, var))
+                          for p, cuts in parts if cuts])
 
-    if isinstance(pred, Limited):
+
+def _cuts_ast(cuts: tuple, var: str):
+    if not cuts:
+        return E.AndP(E.PredAtom("inf"), E.NotP(E.PredAtom("limited")))
+    if cuts[0] == _WHOLE[0]:  # a complement
+        return E.NotP(_cuts_ast(tuple(_sweep(_WHOLE, cuts, lambda a, b: a and not b)), var))
+    return reduce(E.OrP, (_piece_ast(cuts[i], cuts[i + 1], var) for i in range(0, len(cuts), 2)))
+
+
+def _piece_ast(lo, hi, var: str):
+    """The germs between two cuts.  At an external end they are written
+    as the germs above lo and below hi in [-B, B], B = w^K beyond both."""
+    (a, s), (b, t) = lo, hi
+    if a == b:
+        return E.Singleton(E.germ_to_ast(a, var)) if isinstance(a, Germ) else _blob_ast(a, var)
+    if isinstance(a, Germ) and isinstance(b, Germ):
+        return E.Interval(E.germ_to_ast(a, var), E.germ_to_ast(b, var), s == 0, t == 1)
+    bound = G.OMEGA ** (1 + max(0, *(G.valuation(getattr(x, "center", x)) or 0 for x in (a, b))))
+    halves = []
+    for (x, side), above, end in ((lo, True, bound), (hi, False, -bound)):
+        inner = side != above  # the cut takes in its own centre
+        ends = E.germ_to_ast(getattr(x, "center", x), var), E.germ_to_ast(end, var)
+        half = E.Interval(*ends, inner, True) if above else E.Interval(*ends[::-1], True, inner)
+        if isinstance(x, X.ExternalNumber):
+            blob = _blob_ast(x, var)
+            half = E.OrP(half, blob) if inner else E.AndP(half, E.NotP(blob))
+        halves.append(half)
+    return E.AndP(*halves)
+
+
+def _blob_ast(x: X.ExternalNumber, var: str):
+    if x == _GALAXY:
         return E.PredAtom("limited")
-    if isinstance(pred, Infinitesimal):
-        return E.PredAtom("inf")
-    if isinstance(pred, StandardPred):
-        return E.PredAtom("std")
-    if isinstance(pred, InInterval):
-        return E.Interval(
-            E.germ_to_ast(pred.lo, var),
-            E.germ_to_ast(pred.hi, var),
-            pred.lo_closed,
-            pred.hi_closed,
-        )
-    if isinstance(pred, Monad):
-        return E.MonadOf(E.germ_to_ast(pred.center, var))
-    if isinstance(pred, PNot):
-        return E.NotP(predicate_to_ast(pred.child, var))
-    if isinstance(pred, PAnd):
-        return E.AndP(predicate_to_ast(pred.left, var), predicate_to_ast(pred.right, var))
-    if isinstance(pred, POr):
-        return E.OrP(predicate_to_ast(pred.left, var), predicate_to_ast(pred.right, var))
-    raise TypeError(f"not a predicate: {pred!r}")
+    return E.PredAtom("inf") if x.center.is_zero() else E.MonadOf(E.germ_to_ast(x.center, var))
 
 
 def parse_predicate(text: str, universe: str = "V") -> CodedSet:
-    from . import exprlang as E
-
     return CodedSet(predicate_from_ast(E.parse(text, "set")), universe)

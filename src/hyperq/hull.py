@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import _poly as P
 from . import germ as G
 from .errors import (
+    EngineError,
     ModulusViolationError,
     NotFinitePointError,
     StructureMismatchError,
@@ -181,11 +183,14 @@ def hull_limit(seq: HullSequence, check_depth: int = 8) -> HullPoint:
     For each j up to check_depth, sampled members past modulus(j) must
     be within 1/(j+1) of each other and of the limit.
     """
+    if check_depth < 0:
+        raise EngineError(f"check depth must be nonnegative, got {check_depth}")
+    member = cache(seq.member)  # each member is built once, when first needed
     limit = hull_point(seq.structure, G.diagonal(seq.family))
     for j in range(check_depth + 1):
         k0 = max(seq.modulus(j), seq.start)
         tol = Fraction(1, j + 1)
-        a, b, c = (seq.member(k) for k in (k0, k0 + 1, k0 + 5))
+        a, b, c = (member(k) for k in (k0, k0 + 1, k0 + 5))
         for x, y in ((a, b), (a, c), (b, c)):
             if (d := hull_dist(x, y)) >= tol:
                 raise ModulusViolationError(

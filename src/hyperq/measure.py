@@ -1,16 +1,19 @@
-"""The hyperfinite time line and its Loeb and Lebesgue measures.
+"""The hyperfinite time line, its Loeb and Lebesgue measures, and the cut
+algebra its internal sets share with coded sets.
 
 The time line is the grid {i/N : 0 <= i <= N} for an unlimited germ N
 (default w).  An internal set is a union of germ-endpoint intervals
 inside [0,1], intersected with the grid.  Its normal form is a sorted
-list of cuts, two per piece: a cut (g, side) lies just below the germ g
-(side 0) or just above it (side 1), so a closed lower end or an open
-upper end at g is the cut (g, 0), and an open lower end or a closed
-upper end is (g, 1).  A set is normal when its cuts strictly increase.
-Union, intersection, difference and complement are one merge of two cut
-lists that emits a cut wherever the boolean combination of the two
-memberships changes, so their results are normal by construction; only
-the constructor sorts and merges arbitrary pieces.
+list of cuts, two per piece: a cut (g, side) lies just below g (side 0)
+or just above it (side 1), so a closed lower end or an open upper end
+at g is the cut (g, 0), and an open lower end or a closed upper end is
+(g, 1).  Coded sets also cut below or above a whole external number
+c + N; germ cuts are the case N = 0.  A list is normal when its cuts
+strictly increase.  Union, intersection, difference and complement are
+one merge of two cut lists that emits a cut wherever the boolean
+combination of the two memberships changes, so their results are
+normal by construction; only the constructor sorts and merges
+arbitrary pieces.
 
 The counting measure of an internal set is carried as a pair of exact
 germ bounds that differ by an infinitesimal; its shadow is the Loeb
@@ -31,6 +34,7 @@ from functools import cmp_to_key
 from itertools import accumulate
 from typing import Callable, Optional
 
+from . import exprlang as E
 from . import germ as G
 from .errors import (
     EngineError,
@@ -39,6 +43,7 @@ from .errors import (
     NotDisjointError,
     OutOfAlgebraError,
 )
+from .extnum import ZERO_N, ExternalNumber, extnum_order, neutrix_add
 from .germ import Germ
 from .hull import is_natural_germ
 
@@ -60,8 +65,22 @@ DEFAULT_TIMELINE = TimeLine()
 
 def _order(x, y) -> int:
     """Sign of cut x minus cut y.  The cut (g, 0) lies just below the
-    germ g and (g, 1) just above it; cuts order by germ, then by side."""
-    return G.compare(x[0], y[0]) or x[1] - y[1]
+    germ or external number g and (g, 1) just above it.  Germ cuts order
+    by germ, then by side.  Two external numbers either are disjoint and
+    ordered, or one holds the other, and then the larger one's side
+    decides; for equal ones the sides do."""
+    a, b = x[0], y[0]
+    if type(a) is Germ is type(b):
+        return G.compare(a, b) or x[1] - y[1]
+    a, b = (g if isinstance(g, ExternalNumber) else ExternalNumber(g, ZERO_N) for g in (a, b))
+    relation = extnum_order(a, b)
+    if relation != "overlapping":
+        return -1 if relation == "less" else 1
+    if a.neutrix == b.neutrix:
+        return x[1] - y[1]
+    if neutrix_add(a.neutrix, b.neutrix) == a.neutrix:
+        return 1 if x[1] else -1
+    return -1 if y[1] else 1
 
 
 def _cuts(pieces) -> list:
@@ -251,55 +270,47 @@ def finite_additivity_check(x1: InternalSet, x2: InternalSet) -> AdditivityRepor
 # -- the standard interval algebra on [0,1] ------------------------------
 
 
-def internal_set_from_ast(node, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
-    from . import exprlang as E
-
-    if isinstance(node, E.Interval):
-        lo, hi = E.to_germ(node.lo), E.to_germ(node.hi)
-        return InternalSet([Piece(lo, hi, node.lo_closed, node.hi_closed)], timeline)
-    if isinstance(node, E.Singleton):
-        c = E.to_germ(node.value)
-        return InternalSet([Piece(c, c, True, True)], timeline)
+def fold_set(node, atom):
+    """The value of a set expression: ``atom`` evaluates each leaf, and
+    the values' own union, intersect and complement combine them."""
     if isinstance(node, (E.OrP, E.AndP)):
-        left = internal_set_from_ast(node.left, timeline)
-        right = internal_set_from_ast(node.right, timeline)
+        left, right = fold_set(node.left, atom), fold_set(node.right, atom)
         return left.union(right) if isinstance(node, E.OrP) else left.intersect(right)
     if isinstance(node, E.NotP):
-        return internal_set_from_ast(node.child, timeline).complement()
+        return fold_set(node.child, atom).complement()
+    return atom(node)
+
+
+def piece_of(leaf, var: str = "w") -> Piece:
+    """The piece an interval or singleton leaf names."""
+    if isinstance(leaf, E.Interval):
+        lo, hi = E.to_germ(leaf.lo, var), E.to_germ(leaf.hi, var)
+        return Piece(lo, hi, leaf.lo_closed, leaf.hi_closed)
+    if isinstance(leaf, E.Singleton):
+        c = E.to_germ(leaf.value, var)
+        return Piece(c, c)
     raise OutOfAlgebraError("expected intervals, singletons and set operations")
 
 
+def internal_set_from_ast(node, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
+    return fold_set(node, lambda leaf: InternalSet([piece_of(leaf)], timeline))
+
+
 def parse_internal_set(text: str, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
-    from . import exprlang as E
-
     return internal_set_from_ast(E.parse(text, "set"), timeline)
-
-
-def _all_rational(node) -> bool:
-    from . import exprlang as E
-
-    if isinstance(node, (E.Interval, E.Singleton)):
-        children = (
-            (node.lo, node.hi) if isinstance(node, E.Interval) else (node.value,)
-        )
-        return all(E.to_germ(c).is_constant() for c in children)
-    if isinstance(node, (E.OrP, E.AndP)):
-        return _all_rational(node.left) and _all_rational(node.right)
-    if isinstance(node, E.NotP):
-        return _all_rational(node.child)
-    return False
 
 
 def lebesgue(expr) -> Fraction:
     """The exact Lebesgue measure of a finite union of rational-endpoint
     intervals and singletons inside [0,1], evaluated through the
     counting measure on the hyperfinite grid."""
-    from . import exprlang as E
+    def atom(leaf):
+        piece = piece_of(leaf)
+        if not (piece.lo.is_constant() and piece.hi.is_constant()):
+            raise OutOfAlgebraError("Lebesgue evaluation needs rational endpoints")
+        return InternalSet([piece])
 
-    node = E.parse(expr, "set") if isinstance(expr, str) else expr
-    if not _all_rational(node):
-        raise OutOfAlgebraError("Lebesgue evaluation needs rational endpoints")
-    return loeb_measure(internal_set_from_ast(node))
+    return loeb_measure(fold_set(E.parse(expr, "set") if isinstance(expr, str) else expr, atom))
 
 
 # -- sigma families -------------------------------------------------------
@@ -410,6 +421,8 @@ def sigma_limit(
     or geometric) extends the certificate, since e.g. halving
     constructions square their piece count at every step.
     """
+    if depth < 0:
+        raise EngineError(f"depth must be nonnegative, got {depth}")
     start = family.start
     sets, spent = [], 0
     for k in range(start, start + depth + 1):
@@ -432,7 +445,7 @@ def sigma_limit(
         ):
             sh = G.shadow(width)
             if not isinstance(sh, G.InfiniteShadow):
-                limit = max(Fraction(0), min(Fraction(1), sh))
+                limit = _clamp(sh)
                 derivation = "shadow of the symbolic width in the family index"
 
     full_values = values
@@ -519,8 +532,6 @@ def parse_sigma_file(text: str):
     """Plain-text sigma schema: ``mode:``, optional ``start:`` and
     ``depth:``, and one ``piece: [lo, hi]`` line per interval, with
     endpoints rational in k."""
-    from . import exprlang as E
-
     mode = None
     start = 1
     depth = None

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,6 +9,9 @@ import pytest
 from hyperq import exprlang
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
 from hyperq.germ import MAX_EXPONENT
+
+
+FAMILY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "family.sigma")
 
 
 def run(*argv):
@@ -177,6 +181,20 @@ def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command, target
     assert main(["--json", *command, path]) == DOMAIN
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "error" and record["code"] == DOMAIN
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "--sigma", FAMILY, "--depth", "-1"], "error: depth must be nonnegative, got -1"),
+    (["hull", "limit", "k/(k+1)", "--check-depth", "-1"],
+     "error: check depth must be nonnegative, got -1"),
+], ids=["measure-sigma", "hull-limit"])
+def test_negative_depth_is_domain_error(capsys, argv, message):
+    r = run(*argv)
+    assert r.exit_code == DOMAIN and r.text == message
+    assert main(["--json", *argv]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == DOMAIN
+    assert "error: " + record["error"] == message
 
 
 @pytest.mark.parametrize("expr", ["w^1001", "w^-1001"])

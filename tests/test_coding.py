@@ -49,7 +49,7 @@ def test_setops_difference_appreciable():
 def test_setops_union_with_empty_is_identity():
     s = coded("limited")
     u = C.setops(s, C.empty_set(), "union")
-    assert C.equivalent_on(s, u, C.standard_catalog())
+    assert C.equivalent(s, u)
 
 
 def test_standard_and_infinitesimal_is_zero_only():
@@ -66,8 +66,8 @@ def test_setops_universe_mismatch():
 def test_subset_iff_difference_empty():
     catalog = C.standard_catalog()
     s1, s2 = coded("inf"), coded("limited")
-    assert C.subset_on(s1, s2, catalog)
-    assert not C.subset_on(s2, s1, catalog)
+    assert C.subset(s1, s2)
+    assert not C.subset(s2, s1)
 
 
 def test_de_morgan_on_catalog():
@@ -79,10 +79,10 @@ def test_de_morgan_on_catalog():
         s1, s2 = rng.choice(atoms), rng.choice(atoms)
         lhs = C.CodedSet(C.PNot(C.POr(s1.predicate, s2.predicate)))
         rhs = C.CodedSet(C.PAnd(C.PNot(s1.predicate), C.PNot(s2.predicate)))
-        assert C.equivalent_on(lhs, rhs, catalog)
+        assert C.equivalent(lhs, rhs)
         lhs2 = C.CodedSet(C.PNot(C.PAnd(s1.predicate, s2.predicate)))
         rhs2 = C.CodedSet(C.POr(C.PNot(s1.predicate), C.PNot(s2.predicate)))
-        assert C.equivalent_on(lhs2, rhs2, catalog)
+        assert C.equivalent(lhs2, rhs2)
 
 
 # -- countable operations ---------------------------------------------------
@@ -163,9 +163,9 @@ def test_monotonicity_of_coding():
     for _ in range(20):
         s1, s2 = rng.choice(base), rng.choice(base)
         union = C.setops(s1, s2, "union")
-        assert C.subset_on(s1, union, catalog)
+        assert C.subset(s1, union)
         inter = C.setops(s1, s2, "intersection")
-        assert C.subset_on(inter, s1, catalog)
+        assert C.subset(inter, s1)
 
 
 def test_predicate_roundtrip_print_parse():
@@ -174,7 +174,7 @@ def test_predicate_roundtrip_print_parse():
     s = coded("(limited & ~inf) | [0,1/2)")
     text = E.format(C.predicate_to_ast(s.predicate))
     again = C.parse_predicate(text)
-    assert C.equivalent_on(s, again, C.standard_catalog())
+    assert C.equivalent(s, again)
 
 
 # -- exact monotonicity and least witnesses --------------------------------

@@ -6,11 +6,20 @@ import pytest
 from helpers import random_germ, random_limited_germ, random_natural_germ
 from hyperq import hull as H
 from hyperq.errors import (
+    EngineError,
     ModulusViolationError,
     NotFinitePointError,
     StructureMismatchError,
 )
-from hyperq.germ import OMEGA, Germ, diagonal, parse_family, parse_germ, shadow
+from hyperq.germ import (
+    OMEGA,
+    BivariateGerm,
+    Germ,
+    diagonal,
+    parse_family,
+    parse_germ,
+    shadow,
+)
 
 w = OMEGA
 one = Germ.constant(1)
@@ -190,6 +199,28 @@ def test_limit_computes_at_most_six_distances_per_tolerance(monkeypatch):
     seq = H.HullSequence(H.RATIONALS, parse_family("k/(k+1)"), H.Modulus(1, 1))
     H.hull_limit(seq, check_depth=8)
     assert len(calls) <= 6 * 9
+
+
+def test_limit_builds_each_member_once(monkeypatch):
+    calls = []
+    at_k = BivariateGerm.at_k
+    monkeypatch.setattr(BivariateGerm, "at_k", lambda f, k: calls.append(k) or at_k(f, k))
+    seq = H.HullSequence(H.RATIONALS, parse_family("k/(k+1)"), H.Modulus(1, 1))
+    H.hull_limit(seq, check_depth=8)
+    assert len(calls) == len(set(calls)) == 14  # 27 calls when rebuilt per tolerance
+
+
+def test_limit_builds_members_lazily():
+    # the denominator vanishes at k=10, which only tolerance 5 would reach
+    seq = H.HullSequence(H.RATIONALS, parse_family("k/(k-10)"), H.Modulus(1, 0))
+    with pytest.raises(ModulusViolationError, match=r"modulus\(0\)=0 are 1 apart"):
+        H.hull_limit(seq)
+
+
+def test_negative_check_depth_is_refused():
+    seq = H.HullSequence(H.RATIONALS, parse_family("k/(k+1)"), H.Modulus(1, 1))
+    with pytest.raises(EngineError, match="-1"):
+        H.hull_limit(seq, check_depth=-1)
 
 
 def test_limit_of_ratio_family():

@@ -294,6 +294,14 @@ def test_sigma_file_roundtrip(tmp_path):
     assert cert.limit == 1
 
 
+@pytest.mark.parametrize("family", [
+    M.interval_family("1/k", "1", "increasing"), M.dyadic_family(),
+], ids=["schema", "generator"])
+def test_negative_depth_is_refused(family):
+    with pytest.raises(EngineError, match="got -1$"):
+        M.sigma_limit(family, -1)
+
+
 def test_decreasing_symbolic_family():
     cert = M.sigma_limit(M.interval_family("0", "1/2 + 1/k", "decreasing", start=2), 10)
     assert cert.limit == Fraction(1, 2)
