@@ -3,7 +3,15 @@
 # Bivariate polynomials are tuples of univariate ones: entry i is the
 # coefficient (a polynomial in the second variable) of the first
 # variable raised to i.
+#
+# gcd skips Euclid over Q when it can prove two nonzero polynomials
+# coprime modulo the prime 2^31 - 1: their integer multiples are reduced
+# mod p, and a constant gcd over GF(p) is a proof whenever p divides
+# neither scaled leading coefficient (Gauss's lemma; see
+# _coprime_mod_prime).  Every other case, a common factor included, runs
+# Euclid over Q, so the result is exact either way.
 
+import math
 from fractions import Fraction
 
 ZERO = ()
@@ -97,10 +105,49 @@ def monic(p):
 
 
 def gcd(p, q):
+    if p and q and _coprime_mod_prime(p, q):
+        return ONE
     a, b = p, q
     while b:
         a, b = b, divmod_(a, b)[1]
     return monic(a)
+
+
+_PRIME = 2**31 - 1
+
+
+def _coprime_mod_prime(p, q):
+    """True only if nonzero p and q are coprime over Q, decided by Euclid
+    over GF(_PRIME) on their integer multiples; False leaves it open.
+
+    A common factor over Q can be taken primitive in Z[x], and it then
+    divides both integer multiples (Gauss), so its leading coefficient
+    divides theirs.  If the prime divides neither, the factor keeps its
+    degree mod the prime and divides the gcd there: a constant gcd mod
+    the prime leaves it no degree.
+    """
+    residues = []
+    for f in (p, q):
+        m = math.lcm(*(c.denominator for c in f))
+        r = [c.numerator * (m // c.denominator) % _PRIME for c in f]
+        if not r[-1]:
+            return False
+        residues.append(r)
+    a, b = residues
+    while len(b) > 1:
+        inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):  # clear a[k] with b shifted
+            c = a[k] * inv % _PRIME
+            if c:
+                for i in range(db):
+                    a[k - db + i] = (a[k - db + i] - c * b[i]) % _PRIME
+        a = a[:db]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 def eval_at(p, x):
@@ -216,10 +263,6 @@ def b_add(a, b):
 
 def b_neg(a):
     return tuple(neg(p) for p in a)
-
-
-def b_sub(a, b):
-    return b_add(a, b_neg(b))
 
 
 def b_mul(a, b):

@@ -92,6 +92,15 @@ class CodedSet:
     predicate: Cuts  # the normal form
     universe: str = "V"
 
+    def __eq__(self, other):
+        """Set equality: the same universe and the same reduced form."""
+        if not isinstance(other, CodedSet):
+            return NotImplemented
+        return self.universe == other.universe and _reduce(self.predicate) == _reduce(other.predicate)
+
+    def __hash__(self):
+        return hash((self.universe, _reduce(self.predicate)))
+
     def __str__(self):
         return E.format(predicate_to_ast(self.predicate))
 
@@ -147,18 +156,23 @@ def _cancel(cuts) -> tuple:
     return tuple(out)
 
 
-def normal_form(s: CodedSet) -> CodedSet:
-    """The reduced normal form.  Between two distinct reduced cuts lies
-    a germ of the list's kind, so equal sets have equal reduced forms."""
-    std, rest = s.predicate
+def _reduce(pred: Cuts) -> Cuts:
+    """The reduced cut lists.  Between two distinct reduced cuts lies a
+    germ of the list's kind, so equal sets have equal reduced lists."""
+    std, rest = pred
     # in the non-standard list a cut at a standard point moves below it:
     # only that point notices, and the standard list decides it
     rest = ((x, 0) if isinstance(x, Germ) and x.is_constant() else (x, side) for x, side in rest)
-    return CodedSet(Cuts(_cancel(map(_trace, std)), _cancel(rest)), s.universe)
+    return Cuts(_cancel(map(_trace, std)), _cancel(rest))
+
+
+def normal_form(s: CodedSet) -> CodedSet:
+    """The reduced normal form."""
+    return CodedSet(_reduce(s.predicate), s.universe)
 
 
 def is_empty(s: CodedSet) -> bool:
-    return normal_form(s).predicate == ((), ())
+    return _reduce(s.predicate) == ((), ())
 
 
 def subset(s1: CodedSet, s2: CodedSet) -> bool:
@@ -167,7 +181,7 @@ def subset(s1: CodedSet, s2: CodedSet) -> bool:
 
 def equivalent(s1: CodedSet, s2: CodedSet) -> bool:
     """Sets over different universes are never equivalent."""
-    return normal_form(s1) == normal_form(s2)
+    return s1 == s2
 
 
 def standard_catalog():

@@ -20,6 +20,15 @@ valuations alone) without building ``a - b``.  A constant shares no
 factor of positive degree with any polynomial, so a germ whose
 numerator or denominator is constant needs no gcd, only division by
 the leading coefficient of its denominator.
+
+Most other germs a computation builds are already coprime, and
+``_poly.gcd`` proves that without Euclid over Q: it clears denominators,
+reduces the coefficients modulo the prime 2^31 - 1 and runs Euclid
+there.  A common factor over Q can be taken primitive in Z[x], so its
+leading coefficient divides both scaled leading coefficients; when the
+prime divides neither, the factor keeps its degree modulo the prime,
+and a constant gcd there rules it out.  Any other outcome falls back to
+Euclid over Q, so the canonical form is the same either way.
 """
 
 from __future__ import annotations

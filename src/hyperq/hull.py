@@ -176,6 +176,19 @@ class HullSequence:
         return hull_point(self.structure, self.family.at_k(k))
 
 
+# Largest depth accepted by hull_limit and measure.sigma_limit: each
+# level costs at least one member, so the bound keeps a check finite.
+MAX_CHECK_DEPTH = 10000
+
+
+def check_depth_bound(depth: int, what: str = "depth") -> None:
+    """Refuse a negative depth or one above MAX_CHECK_DEPTH."""
+    if depth < 0:
+        raise EngineError(f"{what} must be nonnegative, got {depth}")
+    if depth > MAX_CHECK_DEPTH:
+        raise EngineError(f"{what} {depth} exceeds the limit of {MAX_CHECK_DEPTH}")
+
+
 def hull_limit(seq: HullSequence, check_depth: int = 8) -> HullPoint:
     """The hull point of the diagonal of the family, after validating
     the declared Cauchy modulus on sampled tolerances.
@@ -183,8 +196,7 @@ def hull_limit(seq: HullSequence, check_depth: int = 8) -> HullPoint:
     For each j up to check_depth, sampled members past modulus(j) must
     be within 1/(j+1) of each other and of the limit.
     """
-    if check_depth < 0:
-        raise EngineError(f"check depth must be nonnegative, got {check_depth}")
+    check_depth_bound(check_depth, "check depth")
     member = cache(seq.member)  # each member is built once, when first needed
     limit = hull_point(seq.structure, G.diagonal(seq.family))
     for j in range(check_depth + 1):

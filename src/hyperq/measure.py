@@ -45,7 +45,7 @@ from .errors import (
 )
 from .extnum import ZERO_N, ExternalNumber, extnum_order, neutrix_add
 from .germ import Germ
-from .hull import is_natural_germ
+from .hull import check_depth_bound, is_natural_germ
 
 _ZERO = Germ.constant(0)
 _ONE = Germ.constant(1)
@@ -421,8 +421,7 @@ def sigma_limit(
     or geometric) extends the certificate, since e.g. halving
     constructions square their piece count at every step.
     """
-    if depth < 0:
-        raise EngineError(f"depth must be nonnegative, got {depth}")
+    check_depth_bound(depth)
     start = family.start
     sets, spent = [], 0
     for k in range(start, start + depth + 1):

@@ -9,6 +9,7 @@ import pytest
 from hyperq import exprlang
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
 from hyperq.germ import MAX_EXPONENT
+from hyperq.hull import MAX_CHECK_DEPTH
 
 
 FAMILY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "family.sigma")
@@ -189,6 +190,25 @@ def test_unreadable_input_file_is_domain_error(tmp_path, capsys, command, target
      "error: check depth must be nonnegative, got -1"),
 ], ids=["measure-sigma", "hull-limit"])
 def test_negative_depth_is_domain_error(capsys, argv, message):
+    _assert_domain_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "--sigma", FAMILY, "--depth", str(MAX_CHECK_DEPTH + 1)],
+     f"error: depth {MAX_CHECK_DEPTH + 1} exceeds the limit of {MAX_CHECK_DEPTH}"),
+    (["measure", "--sigma", FAMILY, "--depth", "10000000"],
+     f"error: depth 10000000 exceeds the limit of {MAX_CHECK_DEPTH}"),
+    (["hull", "limit", "k/(k+1)", "--check-depth", str(MAX_CHECK_DEPTH + 1)],
+     f"error: check depth {MAX_CHECK_DEPTH + 1} exceeds the limit of {MAX_CHECK_DEPTH}"),
+], ids=["measure-sigma", "measure-sigma-far", "hull-limit"])
+def test_depth_above_the_limit_is_domain_error(capsys, argv, message):
+    start = time.process_time()
+    _assert_domain_error(capsys, argv, message)
+    assert time.process_time() - start < 1
+
+
+def _assert_domain_error(capsys, argv, message):
+    """Exit 4 with ``message``, plain and as a --json error record."""
     r = run(*argv)
     assert r.exit_code == DOMAIN and r.text == message
     assert main(["--json", *argv]) == DOMAIN
@@ -237,3 +257,14 @@ def test_exponent_at_the_limit_prints():
     assert r.text.startswith("w^1000 + 1000*w^999 + 499500*w^998 + ")
     assert r.text.endswith(" + 499500*w^2 + 1000*w + 1")
     assert r.text.count(" + ") == 1000
+
+
+def test_high_degree_quotient_is_fast(capsys):
+    # a degree-100 and a degree-49 polynomial, coprime: the gcd of the
+    # quotient is certified modulo a prime, not run by Euclid over Q
+    golden = os.path.join(os.path.dirname(FAMILY), "slow_quotient.out")
+    start = time.process_time()
+    assert main(["eval", "(2*w^2+3*w-1)^50/(w-1)^49"]) == OK
+    assert time.process_time() - start < 1
+    with open(golden, "rb") as handle:
+        assert capsys.readouterr().out.encode() == handle.read()

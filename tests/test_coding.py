@@ -58,6 +58,21 @@ def test_standard_and_infinitesimal_is_zero_only():
         assert C.membership(meet, g) == g.is_zero()
 
 
+@pytest.mark.parametrize("left, right", [
+    ("std & inf", "{0}"),
+    ("limited | inf", "limited"),
+    ("~~monad(1/2)", "monad(1/2)"),
+    ("[0, 1] & std", "std & (-1/w, 1 + 1/w)"),
+])
+def test_equality_and_hash_agree_with_set_equality(left, right):
+    a, b = coded(left), coded(right)
+    assert C.equivalent(a, b)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert coded(left, "A") != coded(right, "B")
+    assert a != coded("inf")
+
+
 def test_setops_universe_mismatch():
     with pytest.raises(UniverseMismatchError):
         C.setops(coded("limited", "A"), coded("limited", "B"), "union")

@@ -339,8 +339,9 @@ def test_exponent_beyond_the_limit_is_refused(n):
 
 @pytest.fixture
 def poly_calls(monkeypatch):
-    """Counts of the calls of _poly.gcd and _poly.mul from here on."""
-    calls = {"gcd": 0, "mul": 0}
+    """Counts of the calls of _poly.gcd, _poly.mul and _poly.divmod_ from
+    here on."""
+    calls = {"gcd": 0, "mul": 0, "divmod_": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(P, name)):
             calls[_name] += 1
@@ -388,6 +389,19 @@ def test_difference_runs_one_gcd(poly_calls):
     d = a - b
     assert poly_calls["gcd"] == 1
     assert d.evaluate(7) == a.evaluate(7) - b.evaluate(7)
+
+
+def test_coprime_gcd_is_certified_without_division(poly_calls):
+    rng = random.Random(32)
+    a, b = (P.trim(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(32))
+                   + (Fraction(rng.randint(1, 9)),)) for _ in range(2))
+    assert P.degree(a) == P.degree(b) == 32
+    assert P.gcd(a, b) == P.ONE
+    assert poly_calls["divmod_"] == 0
+    # a common factor still reaches Euclid over Q
+    f = P.trim((Fraction(1, 3), Fraction(1)))
+    assert P.gcd(P.mul(a, f), P.mul(b, f)) == f
+    assert poly_calls["divmod_"] > 0
 
 
 def test_shadow_of_limited_is_between_bounds():

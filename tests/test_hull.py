@@ -223,6 +223,12 @@ def test_negative_check_depth_is_refused():
         H.hull_limit(seq, check_depth=-1)
 
 
+def test_check_depth_above_the_limit_is_refused():
+    seq = H.HullSequence(H.RATIONALS, parse_family("k/(k+1)"), H.Modulus(1, 1))
+    with pytest.raises(EngineError, match=f"limit of {H.MAX_CHECK_DEPTH}$"):
+        H.hull_limit(seq, check_depth=H.MAX_CHECK_DEPTH + 1)
+
+
 def test_limit_of_ratio_family():
     seq = H.HullSequence(H.RATIONALS, parse_family("k/(k+1)"), H.Modulus(1, 1), start=0)
     lim = H.hull_limit(seq)

@@ -12,6 +12,7 @@ from hyperq.errors import (
     OutOfAlgebraError,
 )
 from hyperq.germ import OMEGA, Germ, shadow
+from hyperq.hull import MAX_CHECK_DEPTH
 
 w = OMEGA
 one = Germ.constant(1)
@@ -300,6 +301,14 @@ def test_sigma_file_roundtrip(tmp_path):
 def test_negative_depth_is_refused(family):
     with pytest.raises(EngineError, match="got -1$"):
         M.sigma_limit(family, -1)
+
+
+@pytest.mark.parametrize("family", [
+    M.interval_family("1/k", "1", "increasing"), M.dyadic_family(),
+], ids=["schema", "generator"])
+def test_depth_above_the_limit_is_refused(family):
+    with pytest.raises(EngineError, match=f"limit of {MAX_CHECK_DEPTH}$"):
+        M.sigma_limit(family, MAX_CHECK_DEPTH + 1)
 
 
 def test_decreasing_symbolic_family():
