@@ -237,38 +237,21 @@ def _cmd_oracle(rest):
             base, index = finmodel.parse_model(handle.read())
         report = finmodel.model_sweep(base, index, depth)
         ok = report.ok
-        text = (
-            f"model: {len(base.carrier)} elements, index {len(index.elements)}, "
-            f"{report.checks} checks, {len(report.mismatches)} mismatches: "
-            + ("PASS" if ok else "FAIL")
-        )
-        result = _ok("oracle", text, checks=report.checks,
-                     mismatches=len(report.mismatches), passed=ok)
-        if not ok:
-            result.exit_code = DOMAIN
-            result.payload["status"] = "error"
-        return result
-    los = finmodel.los_sweep(index_size, carrier_size, depth)
-    psi = finmodel.psi_sweep(index_size, carrier_size)
-    ok = los.ok and psi.ok
-    text = (
-        f"los: {los.instances} instances, {los.checks} checks, "
-        f"{len(los.mismatches)} mismatches\n"
-        f"psi: {psi.instances} instances, {psi.checks} checks, "
-        f"{len(psi.mismatches)} mismatches\n" + ("PASS" if ok else "FAIL")
-    )
-    result = _ok(
-        "oracle",
-        text,
-        los={"instances": los.instances, "checks": los.checks,
-             "mismatches": len(los.mismatches)},
-        psi={"instances": psi.instances, "checks": psi.checks,
-             "mismatches": len(psi.mismatches)},
-        passed=ok,
-    )
+        counts = {"checks": report.checks, "mismatches": len(report.mismatches)}
+        text = (f"model: {len(base.carrier)} elements, index {len(index.elements)}, "
+                f"{report.checks} checks, {len(report.mismatches)} mismatches: ")
+    else:
+        sweeps = {"los": finmodel.los_sweep(index_size, carrier_size, depth),
+                  "psi": finmodel.psi_sweep(index_size, carrier_size)}
+        ok = all(r.ok for r in sweeps.values())
+        counts = {name: {"instances": r.instances, "checks": r.checks,
+                         "mismatches": len(r.mismatches)} for name, r in sweeps.items()}
+        text = "".join(f"{name}: {c['instances']} instances, {c['checks']} checks, "
+                       f"{c['mismatches']} mismatches\n" for name, c in counts.items())
+    result = _ok("oracle", text + ("PASS" if ok else "FAIL"), passed=ok, **counts)
     if not ok:
+        result.status = result.payload["status"] = "error"
         result.exit_code = DOMAIN
-        result.payload["status"] = "error"
     return result
 
 

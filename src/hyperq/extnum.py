@@ -179,6 +179,8 @@ def _from_ast(node) -> ExternalNumber:
         return extnum_mul(_from_ast(node.left), _from_ast(node.right))
     if _is_germ_only(node):
         return make(E.to_germ(node))
+    if isinstance(node, E.ShadowOf):
+        raise ValueError("shadow takes a germ, not an external number")
     raise ValueError("division and powers of neutrices are not supported")
 
 

@@ -7,6 +7,12 @@ long way (through the ultrafilter, not through evaluation at w), so
 that the classical facts -- the quotient classes coincide with values
 at w, and first-order truth in the quotient matches largeness of the
 pointwise truth set -- can be checked by brute-force enumeration.
+
+One Los check of a formula at two parameter functions passes when three
+things agree: truth in the quotient at their classes, largeness of the
+pointwise truth set in the ultrafilter, and w lying in that set.
+``los_sweep`` runs it on every small relation and index, and model
+files (``model_sweep``) run the same check after ``check_at_w``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import EngineError
+
+# Input caps.  A quotient enumerates carrier^index functions and decides
+# the 2^index subsets of its index; a model's truth tables cost about
+# carrier^3 per quantified formula; a sweep enumerates the 2^(c^2)
+# relations on every carrier size c up to its own.
+MAX_FUNCTIONS = 2**12
+MAX_MODEL_CARRIER = 32
+MAX_SWEEP_CARRIER = 3
 
 
 @dataclass(frozen=True)
@@ -192,29 +206,37 @@ def _large(uf: PrincipalUltrafilter, index: FinIndex, pred) -> bool:
     return subset in uf.members
 
 
+def _check_size(carrier_size: int, index_size: int) -> None:
+    count = 1
+    for _ in range(index_size):
+        count *= max(carrier_size, 2)
+        if count > MAX_FUNCTIONS:
+            raise EngineError(
+                f"carrier size {carrier_size} and index size {index_size} exceed "
+                f"the limit max(carrier, 2)^index <= {MAX_FUNCTIONS}"
+            )
+
+
 def ultrapower_quotient(base: Structure, index: FinIndex) -> FinUltrapower:
     """The full quotient of carrier^index by agreement on an
     ultrafilter-large set, with membership induced the same way."""
     if not base.carrier:
         raise EngineError("the carrier must be nonempty")
+    _check_size(len(base.carrier), len(index.elements))
     uf = build_ultrafilter(index)
     positions = {e: p for p, e in enumerate(index.elements)}
-    functions = tuple(
-        itertools.product(base.carrier, repeat=len(index.elements))
-    )
+    functions = tuple(itertools.product(base.carrier, repeat=len(index.elements)))
 
     classes = []
     class_of = {}
     for fn in functions:
-        placed = False
         for ci, members in enumerate(classes):
             rep = next(iter(members))
             if _large(uf, index, lambda i: fn[positions[i]] == rep[positions[i]]):
                 members.add(fn)
                 class_of[fn] = ci
-                placed = True
                 break
-        if not placed:
+        else:
             class_of[fn] = len(classes)
             classes.append({fn})
 
@@ -227,26 +249,14 @@ def ultrapower_quotient(base: Structure, index: FinIndex) -> FinUltrapower:
             ):
                 memrel.add((ci, cj))
     unary = tuple(
-        (
-            name,
-            frozenset(
-                ci
-                for ci, f in enumerate(reps)
-                if _large(uf, index, lambda i: f[positions[i]] in rel)
-            ),
-        )
+        (name, frozenset(
+            ci for ci, f in enumerate(reps) if _large(uf, index, lambda i: f[positions[i]] in rel)
+        ))
         for name, rel in base.unary
     )
     quotient = Structure(tuple(range(len(classes))), frozenset(memrel), unary)
-    return FinUltrapower(
-        base,
-        index,
-        uf,
-        functions,
-        tuple(frozenset(m) for m in classes),
-        class_of,
-        quotient,
-    )
+    classes = tuple(frozenset(m) for m in classes)
+    return FinUltrapower(base, index, uf, functions, classes, class_of, quotient)
 
 
 def check_at_w(up: FinUltrapower):
@@ -338,17 +348,10 @@ def gen_formulas(max_depth: int = 2):
     """The bounded formula pool used by the sweeps: atoms over the free
     variables x, y and one quantified variable z, closed under a single
     negation, conjunction, disjunction or quantifier."""
-    atoms = [
-        In("x", "x"),
-        In("x", "y"),
-        In("y", "x"),
-        In("y", "y"),
-        Eq("x", "y"),
-        Eq("x", "x"),
-    ]
-    if max_depth <= 1:
-        return list(atoms)
+    atoms = [In("x", "x"), In("x", "y"), In("y", "x"), In("y", "y"), Eq("x", "y"), Eq("x", "x")]
     out = list(atoms)
+    if max_depth <= 1:
+        return out
     out.extend(Not(a) for a in atoms)
     for i, a in enumerate(atoms):
         for b in atoms[i + 1 :]:
@@ -362,20 +365,14 @@ def gen_formulas(max_depth: int = 2):
 
 
 def _truth_table(structure: Structure, formula, cache):
-    """Truth of the formula for every (x, y) assignment, as a flat
-    tuple indexed by x*size + y."""
+    """Truth of the formula for every (x, y) assignment, as a flat tuple
+    indexed by p*size + q for x and y at carrier positions p and q."""
     key = (id(formula), structure.carrier, structure.membership)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    size = len(structure.carrier)
-    table = []
-    for x in structure.carrier:
-        for y in structure.carrier:
-            table.append(evaluate(structure, formula, {"x": x, "y": y}))
-    table = tuple(table)
-    cache[key] = table
-    return table
+    if key not in cache:
+        carrier = structure.carrier
+        env = ({"x": x, "y": y} for x in carrier for y in carrier)
+        cache[key] = tuple(evaluate(structure, formula, e) for e in env)
+    return cache[key]
 
 
 def _param_functions(c: int, m: int, w_pos: int):
@@ -402,9 +399,43 @@ class SweepReport:
         return not self.mismatches
 
 
+def _los_instance(up: FinUltrapower, formulas, cache, report: SweepReport) -> None:
+    """The Los check on one quotient for every formula of the pool and
+    every pair of structured parameter functions: quotient truth,
+    largeness of the pointwise truth set and truth at w must agree."""
+    base, elements = up.base, up.index.elements
+    c, m, qc = len(base.carrier), len(elements), len(up.quotient.carrier)
+    w_pos = elements.index(up.index.w)
+    large = {tuple(sorted(map(elements.index, s))) for s in up.ultrafilter.members}
+    params = []  # (carrier positions, function, class id)
+    for f in _param_functions(c, m, w_pos):
+        fn = tuple(base.carrier[v] for v in f)
+        params.append((f, fn, up.class_of[fn]))
+    report.instances += 1
+    for formula in formulas:
+        bt = _truth_table(base, formula, cache)
+        qt = _truth_table(up.quotient, formula, cache)
+        for f, fn, cf in params:
+            for g, gn, cg in params:
+                quotient_truth = qt[cf * qc + cg]
+                truth = tuple(i for i in range(m) if bt[f[i] * c + g[i]])
+                report.checks += 1
+                if not quotient_truth == (truth in large) == (w_pos in truth):
+                    truth_set = frozenset(elements[i] for i in truth)
+                    report.mismatches.append((base, up.index, formula, fn, gn, truth_set))
+
+
+def _check_sweep(max_index: int, max_carrier: int) -> None:
+    if max_carrier > MAX_SWEEP_CARRIER:
+        raise EngineError(
+            f"sweep carrier size {max_carrier} exceeds the limit of {MAX_SWEEP_CARRIER}")
+    _check_size(max_carrier, max_index)
+
+
 def los_sweep(max_index: int = 3, max_carrier: int = 3, max_depth: int = 2) -> SweepReport:
-    """Run the Los comparison over every base relation, index
+    """Run the Los check over every base relation, index
     configuration, bounded formula and structured parameter choice."""
+    _check_sweep(max_index, max_carrier)
     report = SweepReport()
     formulas = gen_formulas(max_depth)
     cache = {}
@@ -412,64 +443,30 @@ def los_sweep(max_index: int = 3, max_carrier: int = 3, max_depth: int = 2) -> S
         carrier = tuple(range(c))
         pairs = [(a, b) for a in carrier for b in carrier]
         for bits in range(2 ** len(pairs)):
-            rel = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-            base = Structure(carrier, rel)
-            base_tables = [_truth_table(base, f, cache) for f in formulas]
+            base = Structure(carrier, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1))
             for m in range(1, max_index + 1):
                 for w_pos in range(m):
-                    index = FinIndex(tuple(range(m)), w_pos)
-                    up = ultrapower_quotient(base, index)
-                    quo_tables = [
-                        _truth_table(up.quotient, f, cache) for f in formulas
-                    ]
-                    qc = len(up.quotient.carrier)
-                    params = _param_functions(c, m, w_pos)
-                    report.instances += 1
-                    for bt, qt, formula in zip(base_tables, quo_tables, formulas):
-                        for f in params:
-                            for g in params:
-                                quotient_truth = qt[
-                                    up.class_of[f] * qc + up.class_of[g]
-                                ]
-                                truth_set = tuple(
-                                    i
-                                    for i in range(m)
-                                    if bt[f[i] * c + g[i]]
-                                )
-                                large = w_pos in truth_set
-                                report.checks += 1
-                                if quotient_truth != large:
-                                    report.mismatches.append(
-                                        (base, index, formula, f, g, truth_set)
-                                    )
+                    up = ultrapower_quotient(base, FinIndex(tuple(range(m)), w_pos))
+                    _los_instance(up, formulas, cache, report)
     return report
 
 
 def model_sweep(base: Structure, index: FinIndex, max_depth: int = 2) -> SweepReport:
     """Check one finite model: =_U and in_U against evaluation at w,
-    then the Los comparison for every bounded formula and structured
-    parameter choice."""
+    then the Los check of ``los_sweep`` on its quotient."""
+    size = len(base.carrier)
+    if size > MAX_MODEL_CARRIER:
+        raise EngineError(f"model carrier size {size} exceeds the limit of {MAX_MODEL_CARRIER}")
     up = ultrapower_quotient(base, index)
-    report = SweepReport(instances=1, mismatches=list(check_at_w(up)))
-    params = _param_functions(
-        len(base.carrier), len(index.elements), index.elements.index(index.w)
-    )
-    value_of = {p: v for p, v in enumerate(base.carrier)}
-    for formula in gen_formulas(max_depth):
-        for f in params:
-            for g in params:
-                fn = tuple(value_of[v] for v in f)
-                gn = tuple(value_of[v] for v in g)
-                los = los_check(up, formula, {"x": fn, "y": gn})
-                report.checks += 1
-                if not los.agree:
-                    report.mismatches.append((formula, fn, gn))
+    report = SweepReport(mismatches=list(check_at_w(up)))
+    _los_instance(up, gen_formulas(max_depth), {}, report)
     return report
 
 
 def psi_sweep(max_index: int = 3, max_carrier: int = 3) -> SweepReport:
     """Exhaust every pair of class subsets on every instance and check
     the set-algebra preservation identities."""
+    _check_sweep(max_index, max_carrier)
     report = SweepReport()
     for c in range(1, max_carrier + 1):
         base = Structure(tuple(range(c)), frozenset())
@@ -530,6 +527,7 @@ def parse_model(text: str):
             raise EngineError(f"unknown model key {key!r}")
     if carrier is None or index_size is None or w is None:
         raise EngineError("model files need carrier, index and w lines")
+    _check_size(len(carrier), index_size)
     for a, b in members:
         if a not in carrier or b not in carrier:
             raise EngineError(f"membership pair ({a}, {b}) leaves the carrier")

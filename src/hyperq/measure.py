@@ -374,12 +374,17 @@ def _check_mode(family: SigmaFamily, sets: list, start: int):
             if not sets[i + 1].subset_of(sets[i]):
                 raise ModeViolationError(f"set at k={start + i + 1} is not inside its predecessor")
     else:
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if not sets[i].is_disjoint_from(sets[j]):
-                    raise ModeViolationError(
-                        f"sets at k={start + i} and k={start + j} overlap"
-                    )
+        # All pieces sorted by lower cut: the sets are pairwise disjoint
+        # exactly when each piece starts at or above the previous upper cut.
+        spans = []
+        for i, s in enumerate(sets):
+            cuts = _cuts(s.pieces)
+            spans += ((lo, hi, i) for lo, hi in zip(cuts[::2], cuts[1::2]))
+        spans.sort(key=_SPAN_KEY)
+        for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
+            if _order(lo, hi) < 0:
+                i, j = sorted((i, j))
+                raise ModeViolationError(f"sets at k={start + i} and k={start + j} overlap")
 
 
 def _geometric_extension(values, depth, start):

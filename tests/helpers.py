@@ -1,7 +1,10 @@
-"""Shared random generators for the test suite (deterministic seeds)."""
+"""Shared random generators for the test suite (deterministic seeds),
+and planted faults for the finite-model oracle."""
 
+import dataclasses
 from fractions import Fraction
 
+from hyperq import finmodel
 from hyperq.germ import Germ
 
 
@@ -47,3 +50,25 @@ def random_natural_germ(rng, max_deg=2):
     from hyperq.germ import ZERO, compare
 
     return g if compare(g, ZERO) >= 0 else -g
+
+
+def empty_quotient_membership(monkeypatch):
+    """Plant a fault in the oracle: every quotient loses its membership."""
+    build = finmodel.ultrapower_quotient
+
+    def faulty(base, index):
+        up = build(base, index)
+        quotient = dataclasses.replace(up.quotient, membership=frozenset())
+        return dataclasses.replace(up, quotient=quotient)
+
+    monkeypatch.setattr(finmodel, "ultrapower_quotient", faulty)
+
+
+def forbid_quotients(monkeypatch):
+    """Fail at once, instead of running for ever, if an input the oracle
+    should refuse reaches the quotient."""
+
+    def tripwire(base, index):
+        raise AssertionError("an oversized input reached ultrapower_quotient")
+
+    monkeypatch.setattr(finmodel, "ultrapower_quotient", tripwire)

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from hyperq import exprlang
+from helpers import empty_quotient_membership, forbid_quotients
+from hyperq import exprlang, finmodel
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
 from hyperq.germ import MAX_EXPONENT
 from hyperq.hull import MAX_CHECK_DEPTH
@@ -268,3 +269,49 @@ def test_high_degree_quotient_is_fast(capsys):
     assert time.process_time() - start < 1
     with open(golden, "rb") as handle:
         assert capsys.readouterr().out.encode() == handle.read()
+
+
+@pytest.mark.parametrize("argv, mismatches", [
+    (["oracle", "--index-size", "2", "--carrier-size", "2", "--depth", "1"], 780),
+    (["oracle", "--model", "{model}", "--depth", "2"], 322),
+], ids=["sweep", "model"])
+def test_oracle_failure_exits_4(monkeypatch, capsys, tmp_path, argv, mismatches):
+    model = tmp_path / "fault.model"
+    model.write_text("carrier: 0 1 2\nmember: 0 1\nmember: 1 2\nindex: 3\nw: 1\n")
+    argv = [a.format(model=model) for a in argv]
+    empty_quotient_membership(monkeypatch)
+    r = run(*argv)
+    assert r.exit_code == DOMAIN and r.status == "error"
+    assert r.text.endswith("FAIL") and f"{mismatches} mismatches" in r.text
+    assert main(["--json", *argv]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["passed"] is False
+    assert record.get("los", record)["mismatches"] == mismatches
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["oracle", "--index-size", "100"], f"<= {finmodel.MAX_FUNCTIONS}"),
+    (["oracle", "--carrier-size", "4"], f"limit of {finmodel.MAX_SWEEP_CARRIER}"),
+    (["oracle", "--model", "{index}"], f"<= {finmodel.MAX_FUNCTIONS}"),
+    (["oracle", "--model", "{carrier}"], f"limit of {finmodel.MAX_MODEL_CARRIER}"),
+], ids=["sweep-index", "sweep-carrier", "model-index", "model-carrier"])
+def test_oracle_caps_are_domain_errors(monkeypatch, capsys, tmp_path, argv, limit):
+    forbid_quotients(monkeypatch)
+    (tmp_path / "index.model").write_text("carrier: 0 1 2\nindex: 100\nw: 0\n")
+    atoms = " ".join(f"a{i}" for i in range(finmodel.MAX_MODEL_CARRIER + 1))
+    (tmp_path / "carrier.model").write_text(f"carrier: {atoms}\nindex: 1\nw: 0\n")
+    argv = [a.format(index=tmp_path / "index.model", carrier=tmp_path / "carrier.model")
+            for a in argv]
+    r = run(*argv)
+    assert r.exit_code == DOMAIN and r.text.startswith("error: ") and r.text.endswith(limit)
+    assert main(["--json", *argv]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == DOMAIN
+    assert record["error"].endswith(limit)
+
+
+@pytest.mark.parametrize("expr", ["shadow(M0)", "shadow(w + M0)"])
+def test_shadow_of_an_external_number_is_refused(expr):
+    r = run("ext", expr)
+    assert r.exit_code == DOMAIN
+    assert r.text == "error: shadow takes a germ, not an external number"

@@ -211,3 +211,9 @@ def test_all_neutrix_has_zero_center():
 def test_parse_rejects_neutrix_division():
     with pytest.raises(ValueError):
         X.parse_ext("1/(1 + M0)")
+
+
+@pytest.mark.parametrize("text", ["shadow(M0)", "shadow(w + M0)", "2*shadow(1 + G0)"])
+def test_parse_rejects_shadow_of_an_external_number(text):
+    with pytest.raises(ValueError, match="^shadow takes a germ, not an external number$"):
+        X.parse_ext(text)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from helpers import empty_quotient_membership, forbid_quotients
 from hyperq import finmodel as F
 from hyperq.errors import EngineError
 
@@ -189,3 +190,101 @@ def test_model_sweep_checks_one_model():
     # 3 carrier values, each with a constant and a varied parameter function
     assert report.ok and report.instances == 1
     assert report.checks == len(F.gen_formulas(1)) * 6 * 6
+
+
+# -- planted faults: the oracle must be able to fail ----------------------------
+
+MODEL = "carrier: 0 1 2\nmember: 0 1\nmember: 1 2\nindex: 3\nw: 1\n"
+
+
+def test_planted_fault_fails_the_los_sweep(monkeypatch):
+    empty_quotient_membership(monkeypatch)
+    report = F.los_sweep(2, 2, 1)
+    assert report.checks == 2340 and len(report.mismatches) == 780
+
+
+def test_planted_fault_fails_a_model(monkeypatch):
+    empty_quotient_membership(monkeypatch)
+    report = F.model_sweep(*F.parse_model(MODEL), 2)
+    assert report.checks == 1800 and len(report.mismatches) == 322
+
+
+def _brute_force_mismatches(up, max_depth):
+    """Failed Los checks counted one formula and parameter pair at a
+    time with los_check, plus the truth at w."""
+    c, m = len(up.base.carrier), len(up.index.elements)
+    params = [
+        tuple(up.base.carrier[v] for v in f)
+        for f in F._param_functions(c, m, up.index.elements.index(up.index.w))
+    ]
+    bad = 0
+    for formula in F.gen_formulas(max_depth):
+        for f in params:
+            for g in params:
+                r = F.los_check(up, formula, {"x": f, "y": g})
+                at_w = up.index.w in r.pointwise_truth_set
+                bad += not (r.agree and at_w == r.quotient_truth)
+    return bad
+
+
+def test_planted_fault_counts_match_los_check(monkeypatch):
+    empty_quotient_membership(monkeypatch)
+    bad = 0
+    for c in (1, 2):
+        pairs = [(a, b) for a in range(c) for b in range(c)]
+        for bits in range(2 ** len(pairs)):
+            rel = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            for m in (1, 2):
+                for w in range(m):
+                    index = F.FinIndex(tuple(range(m)), w)
+                    bad += _brute_force_mismatches(
+                        F.ultrapower_quotient(F.Structure(tuple(range(c)), rel), index), 1
+                    )
+    assert bad == len(F.los_sweep(2, 2, 1).mismatches)
+
+    up = F.ultrapower_quotient(*F.parse_model(MODEL))
+    bad = len(F.check_at_w(up)) + _brute_force_mismatches(up, 2)
+    assert bad == len(F.model_sweep(*F.parse_model(MODEL), 2).mismatches)
+
+
+# -- input caps ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("carrier, size", [((0, 1), 13), ((0,), 13), (tuple(range(5)), 6)])
+def test_quotient_refuses_too_many_functions(carrier, size):
+    with pytest.raises(EngineError, match=f"limit max\\(carrier, 2\\)\\^index <= {F.MAX_FUNCTIONS}"):
+        F.ultrapower_quotient(F.Structure(carrier, frozenset()), F.FinIndex(tuple(range(size)), 0))
+
+
+@pytest.mark.parametrize("sweep", [F.los_sweep, F.psi_sweep])
+@pytest.mark.parametrize("max_index, max_carrier, limit", [
+    (100, 3, F.MAX_FUNCTIONS), (8, 3, F.MAX_FUNCTIONS), (3, 4, F.MAX_SWEEP_CARRIER),
+])
+def test_sweeps_refuse_oversized_inputs(monkeypatch, sweep, max_index, max_carrier, limit):
+    forbid_quotients(monkeypatch)
+    with pytest.raises(EngineError, match=f"limit.* {limit}$"):
+        sweep(max_index, max_carrier)
+
+
+def test_model_caps(monkeypatch):
+    forbid_quotients(monkeypatch)
+    with pytest.raises(EngineError, match=f"<= {F.MAX_FUNCTIONS}$"):
+        F.parse_model("carrier: 0 1 2\nindex: 100\nw: 0\n")
+    atoms = " ".join(f"a{i}" for i in range(F.MAX_MODEL_CARRIER + 1))
+    base, index = F.parse_model(f"carrier: {atoms}\nindex: 1\nw: 0\n")
+    with pytest.raises(EngineError, match=f"limit of {F.MAX_MODEL_CARRIER}$"):
+        F.model_sweep(base, index)
+
+
+def test_caps_accept_the_largest_inputs(monkeypatch):
+    forbid_quotients(monkeypatch)
+    # parse_model checks the function count; these sit at or just under it
+    for carrier, size in ((2, 12), (4, 6), (F.MAX_MODEL_CARRIER, 2)):
+        atoms = " ".join(f"a{i}" for i in range(carrier))
+        base, index = F.parse_model(f"carrier: {atoms}\nindex: {size}\nw: 0\n")
+        assert len(base.carrier) ** len(index.elements) <= F.MAX_FUNCTIONS
+    # the sweeps pass their caps and reach the quotient (the tripwire)
+    for sweep in (F.los_sweep, F.psi_sweep):
+        for max_index, max_carrier in ((3, 3), (7, 3), (12, 1)):
+            with pytest.raises(AssertionError, match="reached ultrapower_quotient"):
+                sweep(max_index, max_carrier)

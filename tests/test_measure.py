@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,25 @@ def test_disjoint_mode_checks_overlaps():
     )
     with pytest.raises(ModeViolationError):
         M.sigma_limit(bad, 4)
+
+
+def test_disjoint_mode_check_is_not_quadratic():
+    # pairwise intersection took about 8 s at this depth and grew quadratically
+    fam, _ = M.parse_sigma_file("mode: disjoint\nstart: 1\npiece: (1/(k+1), 1/k]\n")
+    start = time.process_time()
+    with pytest.raises(LimitUndecidableError):
+        M.sigma_limit(fam, 2000)
+    assert time.process_time() - start < 1
+
+
+def test_disjoint_mode_names_the_overlapping_sets():
+    def at(k):
+        lo, hi = (Fraction(1, 4), Fraction(1, 3)) if k == 700 else (Fraction(1, k + 1), Fraction(1, k))
+        return M.InternalSet([M.Piece(Germ.constant(lo), Germ.constant(hi), False, True)])
+
+    fam = M.SigmaFamily("disjoint", generator=at, start=1)
+    with pytest.raises(ModeViolationError, match="^sets at k=3 and k=700 overlap$"):
+        M.sigma_limit(fam, 1000)
 
 
 def test_undecidable_limit_is_reported_honestly():
