@@ -13,11 +13,24 @@ things agree: truth in the quotient at their classes, largeness of the
 pointwise truth set in the ultrafilter, and w lying in that set.
 ``los_sweep`` runs it on every small relation and index, and model
 files (``model_sweep``) run the same check after ``check_at_w``.
+
+The checks are bit-sliced.  On one carrier, every base relation is a
+*lane*: one bit of a Python int, the bit numbered by the relation's
+bitmask over the carrier's pairs.  A truth value over all relations at
+once is then a lane mask, and one walk of a formula per assignment
+gives its truth in every lane.  Quotient membership, too, is decided
+for all lanes at once: the lanes are split by their pointwise truth
+set, and each set that occurs is looked up in the ultrafilter.  Each
+check is still one relation's three-way comparison; only the
+bookkeeping is shared.  ``model_sweep`` runs the same check with a
+single lane, and ``evaluate`` and ``los_check`` remain the one-relation
+reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,10 +39,12 @@ from .errors import EngineError
 # Input caps.  A quotient enumerates carrier^index functions and decides
 # the 2^index subsets of its index; a model's truth tables cost about
 # carrier^3 per quantified formula; a sweep enumerates the 2^(c^2)
-# relations on every carrier size c up to its own.
+# relations on every carrier size c up to its own.  The formula pool is
+# defined for depths 1 and 2 only.
 MAX_FUNCTIONS = 2**12
 MAX_MODEL_CARRIER = 32
 MAX_SWEEP_CARRIER = 3
+MAX_POOL_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -201,9 +216,65 @@ class FinUltrapower:
         return min(self.classes[ci])
 
 
-def _large(uf: PrincipalUltrafilter, index: FinIndex, pred) -> bool:
-    subset = frozenset(i for i in index.elements if pred(i))
-    return subset in uf.members
+class _Lanes:
+    """Structures that share a carrier and unary relations (``shape``)
+    and differ in membership: ``member[a, b]`` is the mask of the lanes
+    (bits of ``full``) whose relation holds a in b.  A plain class, as a
+    dataclass costs about a millisecond at import."""
+
+    __slots__ = ("shape", "member", "full")
+
+    def __init__(self, shape: Structure, member: dict, full: int):
+        self.shape, self.member, self.full = shape, member, full
+
+
+def _one_lane(s: Structure) -> _Lanes:
+    """One structure as a single lane."""
+    member = {(a, b): int((a, b) in s.membership) for a in s.carrier for b in s.carrier}
+    return _Lanes(s, member, 1)
+
+
+def _member_codes(uf: PrincipalUltrafilter) -> frozenset:
+    """The ultrafilter's members as bitmasks of index positions."""
+    bit = {e: 1 << p for p, e in enumerate(uf.index.elements)}
+    return frozenset(sum(map(bit.__getitem__, s)) for s in uf.members)
+
+
+def _large_lanes(codes: frozenset, truth, full: int) -> int:
+    """The lanes (bits of ``full``) whose pointwise truth set is large.
+    ``truth[p]`` is the mask of lanes true at index position p; the lanes
+    are split by the set of positions they are true at, and each set
+    that occurs is looked up among the member ``codes``."""
+    parts = [(0, full)]
+    for p, t in enumerate(truth):
+        if not t:
+            continue
+        bit, split = 1 << p, []
+        for code, lanes in parts:
+            on = lanes & t
+            if on != lanes:
+                split.append((code, lanes ^ on))
+            if on:
+                split.append((code | bit, on))
+        parts = split
+    large = 0
+    for code, lanes in parts:
+        if code in codes:
+            large |= lanes
+    return large
+
+
+def _quotient_membership(codes: frozenset, reps, member, full: int) -> dict:
+    """Quotient membership through the ultrafilter (its member
+    ``codes``), in every lane at once: for each pair of class
+    representatives, the mask of lanes in which the first is pointwise a
+    member of the second on a large set.  ``member[a, b]`` is the mask
+    of lanes whose relation holds a in b."""
+    return {
+        (ci, cj): _large_lanes(codes, [member[a, b] for a, b in zip(f, g)], full)
+        for ci, f in enumerate(reps)
+        for cj, g in enumerate(reps)
+    }
 
 
 def _check_size(carrier_size: int, index_size: int) -> None:
@@ -219,43 +290,39 @@ def _check_size(carrier_size: int, index_size: int) -> None:
 
 def ultrapower_quotient(base: Structure, index: FinIndex) -> FinUltrapower:
     """The full quotient of carrier^index by agreement on an
-    ultrafilter-large set, with membership induced the same way."""
+    ultrafilter-large set, with membership induced the same way.  The
+    classes never depend on the membership relation."""
     if not base.carrier:
         raise EngineError("the carrier must be nonempty")
     _check_size(len(base.carrier), len(index.elements))
     uf = build_ultrafilter(index)
-    positions = {e: p for p, e in enumerate(index.elements)}
+    codes = _member_codes(uf)
+    bits = [1 << p for p in range(len(index.elements))]
     functions = tuple(itertools.product(base.carrier, repeat=len(index.elements)))
 
-    classes = []
-    class_of = {}
+    firsts, classes, class_of = [], [], {}
     for fn in functions:
-        for ci, members in enumerate(classes):
-            rep = next(iter(members))
-            if _large(uf, index, lambda i: fn[positions[i]] == rep[positions[i]]):
-                members.add(fn)
-                class_of[fn] = ci
+        for ci, first in enumerate(firsts):
+            # the positions where fn and the class's first function agree
+            if sum(itertools.compress(bits, map(operator.eq, fn, first))) in codes:
                 break
         else:
-            class_of[fn] = len(classes)
-            classes.append({fn})
+            ci = len(firsts)
+            firsts.append(fn)
+            classes.append([])
+        classes[ci].append(fn)
+        class_of[fn] = ci
 
-    reps = [min(members) for members in classes]
-    memrel = set()
-    for ci, f in enumerate(reps):
-        for cj, g in enumerate(reps):
-            if _large(
-                uf, index, lambda i: (f[positions[i]], g[positions[i]]) in base.membership
-            ):
-                memrel.add((ci, cj))
+    memrel = _quotient_membership(codes, firsts, _one_lane(base).member, 1)
     unary = tuple(
         (name, frozenset(
-            ci for ci, f in enumerate(reps) if _large(uf, index, lambda i: f[positions[i]] in rel)
+            ci for ci, f in enumerate(firsts) if _large_lanes(codes, [int(x in rel) for x in f], 1)
         ))
         for name, rel in base.unary
     )
-    quotient = Structure(tuple(range(len(classes))), frozenset(memrel), unary)
-    classes = tuple(frozenset(m) for m in classes)
+    quotient = Structure(
+        tuple(range(len(firsts))), frozenset(pair for pair, lane in memrel.items() if lane), unary)
+    classes = tuple(map(frozenset, classes))
     return FinUltrapower(base, index, uf, functions, classes, class_of, quotient)
 
 
@@ -348,9 +415,12 @@ def gen_formulas(max_depth: int = 2):
     """The bounded formula pool used by the sweeps: atoms over the free
     variables x, y and one quantified variable z, closed under a single
     negation, conjunction, disjunction or quantifier."""
+    if not 1 <= max_depth <= MAX_POOL_DEPTH:
+        raise EngineError(
+            f"formula depth {max_depth} is outside the pool's depths 1 to {MAX_POOL_DEPTH}")
     atoms = [In("x", "x"), In("x", "y"), In("y", "x"), In("y", "y"), Eq("x", "y"), Eq("x", "x")]
     out = list(atoms)
-    if max_depth <= 1:
+    if max_depth == 1:
         return out
     out.extend(Not(a) for a in atoms)
     for i, a in enumerate(atoms):
@@ -364,15 +434,32 @@ def gen_formulas(max_depth: int = 2):
     return out
 
 
-def _truth_table(structure: Structure, formula, cache):
-    """Truth of the formula for every (x, y) assignment, as a flat tuple
-    indexed by p*size + q for x and y at carrier positions p and q."""
-    key = (id(formula), structure.carrier, structure.membership)
-    if key not in cache:
-        carrier = structure.carrier
-        env = ({"x": x, "y": y} for x in carrier for y in carrier)
-        cache[key] = tuple(evaluate(structure, formula, e) for e in env)
-    return cache[key]
+def _lane_truth(s: _Lanes, f, env) -> int:
+    """``evaluate`` in every lane at once: the mask of lanes where the
+    formula holds under the assignment."""
+    if isinstance(f, In):
+        return s.member[env[f.left], env[f.right]]
+    if isinstance(f, Eq):
+        return s.full if env[f.left] == env[f.right] else 0
+    if isinstance(f, Has):
+        return s.full if env[f.var] in s.shape.unary_rel(f.relation) else 0
+    if isinstance(f, Not):
+        return s.full ^ _lane_truth(s, f.child, env)
+    if isinstance(f, And):
+        return _lane_truth(s, f.left, env) & _lane_truth(s, f.right, env)
+    if isinstance(f, Or):
+        return _lane_truth(s, f.left, env) | _lane_truth(s, f.right, env)
+    if isinstance(f, Forall):
+        out = s.full
+        for e in s.shape.carrier:
+            out &= _lane_truth(s, f.body, {**env, f.var: e})
+        return out
+    if isinstance(f, Exists):
+        out = 0
+        for e in s.shape.carrier:
+            out |= _lane_truth(s, f.body, {**env, f.var: e})
+        return out
+    raise EngineError(f"malformed formula: {f!r}")
 
 
 def _param_functions(c: int, m: int, w_pos: int):
@@ -399,33 +486,50 @@ class SweepReport:
         return not self.mismatches
 
 
-def _los_instance(up: FinUltrapower, formulas, cache, report: SweepReport) -> None:
-    """The Los check on one quotient for every formula of the pool and
+def _los_lanes(up: FinUltrapower, base: _Lanes, quotient: _Lanes, formulas,
+               report: SweepReport, structure_of) -> None:
+    """The Los check in every lane, for every formula of the pool and
     every pair of structured parameter functions: quotient truth,
-    largeness of the pointwise truth set and truth at w must agree."""
-    base, elements = up.base, up.index.elements
-    c, m, qc = len(base.carrier), len(elements), len(up.quotient.carrier)
+    largeness of the pointwise truth set and truth at w must agree.
+    ``up`` gives the classes and the ultrafilter, ``base`` and
+    ``quotient`` the lanes' relations, and ``structure_of(lane)`` the
+    base structure that a mismatch names."""
+    elements, full = up.index.elements, base.full
+    m, lanes = len(elements), base.full.bit_length()
     w_pos = elements.index(up.index.w)
-    large = {tuple(sorted(map(elements.index, s))) for s in up.ultrafilter.members}
-    params = []  # (carrier positions, function, class id)
-    for f in _param_functions(c, m, w_pos):
-        fn = tuple(base.carrier[v] for v in f)
-        params.append((f, fn, up.class_of[fn]))
-    report.instances += 1
+    codes = _member_codes(up.ultrafilter)
+    params = []  # (function, class id)
+    for f in _param_functions(len(base.shape.carrier), m, w_pos):
+        fn = tuple(base.shape.carrier[v] for v in f)
+        params.append((fn, up.class_of[fn]))
+    # (f, g, the base assignment at each index position, the classes)
+    pairs = [(fn, gn, tuple(zip(fn, gn)), (cf, cg)) for fn, cf in params for gn, cg in params]
+    base_envs = {ab for _, _, envs, _ in pairs for ab in envs}
+    quotient_envs = {cfg for _, _, _, cfg in pairs}
+    report.instances += lanes
     for formula in formulas:
-        bt = _truth_table(base, formula, cache)
-        qt = _truth_table(up.quotient, formula, cache)
-        for f, fn, cf in params:
-            for g, gn, cg in params:
-                quotient_truth = qt[cf * qc + cg]
-                truth = tuple(i for i in range(m) if bt[f[i] * c + g[i]])
-                report.checks += 1
-                if not quotient_truth == (truth in large) == (w_pos in truth):
-                    truth_set = frozenset(elements[i] for i in truth)
-                    report.mismatches.append((base, up.index, formula, fn, gn, truth_set))
+        bt = {(a, b): _lane_truth(base, formula, {"x": a, "y": b}) for a, b in base_envs}
+        qt = {(a, b): _lane_truth(quotient, formula, {"x": a, "y": b}) for a, b in quotient_envs}
+        large_of = {}  # pointwise truth -> its large lanes
+        report.checks += lanes * len(pairs)
+        for fn, gn, envs, cfg in pairs:
+            truth = tuple(map(bt.__getitem__, envs))
+            large = large_of.get(truth)
+            if large is None:
+                large = large_of[truth] = _large_lanes(codes, truth, full)
+            bad = (qt[cfg] ^ large) | (large ^ truth[w_pos])
+            while bad:
+                lane = (bad & -bad).bit_length() - 1
+                bad &= bad - 1
+                truth_set = frozenset(e for e, t in zip(elements, truth) if t >> lane & 1)
+                report.mismatches.append(
+                    (structure_of(lane), up.index, formula, fn, gn, truth_set))
 
 
 def _check_sweep(max_index: int, max_carrier: int) -> None:
+    for name, size in (("index", max_index), ("carrier", max_carrier)):
+        if size < 1:
+            raise EngineError(f"sweep {name} size {size} is below the limit of 1")
     if max_carrier > MAX_SWEEP_CARRIER:
         raise EngineError(
             f"sweep carrier size {max_carrier} exceeds the limit of {MAX_SWEEP_CARRIER}")
@@ -434,32 +538,49 @@ def _check_sweep(max_index: int, max_carrier: int) -> None:
 
 def los_sweep(max_index: int = 3, max_carrier: int = 3, max_depth: int = 2) -> SweepReport:
     """Run the Los check over every base relation, index
-    configuration, bounded formula and structured parameter choice."""
+    configuration, bounded formula and structured parameter choice.
+    On each carrier the relations are the lanes: relation number
+    ``bits`` holds the carrier's pair number i when bit i of ``bits``
+    is set."""
     _check_sweep(max_index, max_carrier)
-    report = SweepReport()
     formulas = gen_formulas(max_depth)
-    cache = {}
+    report = SweepReport()
     for c in range(1, max_carrier + 1):
-        carrier = tuple(range(c))
-        pairs = [(a, b) for a in carrier for b in carrier]
-        for bits in range(2 ** len(pairs)):
-            base = Structure(carrier, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1))
-            for m in range(1, max_index + 1):
-                for w_pos in range(m):
-                    up = ultrapower_quotient(base, FinIndex(tuple(range(m)), w_pos))
-                    _los_instance(up, formulas, cache, report)
+        shape = Structure(tuple(range(c)), frozenset())
+        pairs = [(a, b) for a in shape.carrier for b in shape.carrier]
+        count = 2 ** len(pairs)
+        member = {
+            pair: sum(1 << bits for bits in range(count) if bits >> i & 1)
+            for i, pair in enumerate(pairs)
+        }
+        base = _Lanes(shape, member, (1 << count) - 1)
+
+        def structure_of(bits):
+            relation = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            return Structure(shape.carrier, relation)
+
+        for m in range(1, max_index + 1):
+            for w_pos in range(m):
+                # the classes, from the quotient of any relation on the carrier
+                up = ultrapower_quotient(shape, FinIndex(tuple(range(m)), w_pos))
+                reps = [up.representative(ci) for ci in range(len(up.classes))]
+                codes = _member_codes(up.ultrafilter)
+                quotient = _Lanes(
+                    up.quotient, _quotient_membership(codes, reps, member, base.full), base.full)
+                _los_lanes(up, base, quotient, formulas, report, structure_of)
     return report
 
 
 def model_sweep(base: Structure, index: FinIndex, max_depth: int = 2) -> SweepReport:
     """Check one finite model: =_U and in_U against evaluation at w,
-    then the Los check of ``los_sweep`` on its quotient."""
+    then the Los check of ``los_sweep`` on its quotient, in one lane."""
     size = len(base.carrier)
     if size > MAX_MODEL_CARRIER:
         raise EngineError(f"model carrier size {size} exceeds the limit of {MAX_MODEL_CARRIER}")
+    formulas = gen_formulas(max_depth)
     up = ultrapower_quotient(base, index)
     report = SweepReport(mismatches=list(check_at_w(up)))
-    _los_instance(up, gen_formulas(max_depth), {}, report)
+    _los_lanes(up, _one_lane(base), _one_lane(up.quotient), formulas, report, lambda lane: base)
     return report
 
 

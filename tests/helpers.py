@@ -1,7 +1,6 @@
 """Shared random generators for the test suite (deterministic seeds),
 and planted faults for the finite-model oracle."""
 
-import dataclasses
 from fractions import Fraction
 
 from hyperq import finmodel
@@ -53,15 +52,31 @@ def random_natural_germ(rng, max_deg=2):
 
 
 def empty_quotient_membership(monkeypatch):
-    """Plant a fault in the oracle: every quotient loses its membership."""
-    build = finmodel.ultrapower_quotient
+    """Plant a fault in the oracle: every quotient loses its membership.
+    The plant sits in the one function that decides quotient membership
+    through the ultrafilter, which ``ultrapower_quotient`` and the sweeps'
+    lanes share."""
+    decide = finmodel._quotient_membership
 
-    def faulty(base, index):
-        up = build(base, index)
-        quotient = dataclasses.replace(up.quotient, membership=frozenset())
-        return dataclasses.replace(up, quotient=quotient)
+    def faulty(*args):
+        return dict.fromkeys(decide(*args), 0)
 
-    monkeypatch.setattr(finmodel, "ultrapower_quotient", faulty)
+    monkeypatch.setattr(finmodel, "_quotient_membership", faulty)
+
+
+def drop_one_quotient_pair(monkeypatch, pair=(0, 1)):
+    """Plant a fault that is not uniform over the lanes: only the class
+    pair ``pair`` loses its membership, so only the relations that put
+    the first class in the second fail."""
+    decide = finmodel._quotient_membership
+
+    def faulty(*args):
+        membership = decide(*args)
+        if pair in membership:
+            membership[pair] = 0
+        return membership
+
+    monkeypatch.setattr(finmodel, "_quotient_membership", faulty)
 
 
 def forbid_quotients(monkeypatch):

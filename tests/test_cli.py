@@ -310,6 +310,29 @@ def test_oracle_caps_are_domain_errors(monkeypatch, capsys, tmp_path, argv, limi
     assert record["error"].endswith(limit)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--index-size", "1", "--carrier-size", "2", "--depth", "7"],
+     "formula depth 7 is outside the pool's depths 1 to 2"),
+    (["oracle", "--depth", "0"], "formula depth 0 is outside the pool's depths 1 to 2"),
+    (["oracle", "--depth", "-3"], "formula depth -3 is outside the pool's depths 1 to 2"),
+    (["oracle", "--index-size", "0"], "sweep index size 0 is below the limit of 1"),
+    (["oracle", "--carrier-size", "0"], "sweep carrier size 0 is below the limit of 1"),
+    (["oracle", "--model", "{model}", "--depth", "3"],
+     "formula depth 3 is outside the pool's depths 1 to 2"),
+], ids=["depth-7", "depth-0", "depth-negative", "index-0", "carrier-0", "model-depth-3"])
+def test_oracle_refuses_sizes_and_depths_it_would_ignore(
+        monkeypatch, capsys, tmp_path, argv, message):
+    model = tmp_path / "ok.model"
+    model.write_text("carrier: 0 1\nmember: 0 1\nindex: 2\nw: 0\n")
+    argv = [a.format(model=model) for a in argv]
+    forbid_quotients(monkeypatch)
+    r = run(*argv)
+    assert r.exit_code == DOMAIN and r.text == f"error: {message}"
+    assert main(["--json", *argv]) == DOMAIN
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["error"] == message
+
+
 @pytest.mark.parametrize("expr", ["shadow(M0)", "shadow(w + M0)"])
 def test_shadow_of_an_external_number_is_refused(expr):
     r = run("ext", expr)

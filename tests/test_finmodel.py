@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from helpers import empty_quotient_membership, forbid_quotients
+from helpers import drop_one_quotient_pair, empty_quotient_membership, forbid_quotients
 from hyperq import finmodel as F
 from hyperq.errors import EngineError
 
@@ -247,6 +248,77 @@ def test_planted_fault_counts_match_los_check(monkeypatch):
     assert bad == len(F.model_sweep(*F.parse_model(MODEL), 2).mismatches)
 
 
+def _brute_force_records(up, max_depth):
+    """The mismatch records of one quotient, rebuilt one formula and
+    parameter pair at a time from los_check plus the truth at w."""
+    c, m = len(up.base.carrier), len(up.index.elements)
+    params = [
+        tuple(up.base.carrier[v] for v in f)
+        for f in F._param_functions(c, m, up.index.elements.index(up.index.w))
+    ]
+    records = []
+    for formula in F.gen_formulas(max_depth):
+        for f in params:
+            for g in params:
+                r = F.los_check(up, formula, {"x": f, "y": g})
+                at_w = up.index.w in r.pointwise_truth_set
+                if not (r.agree and at_w == r.quotient_truth):
+                    records.append((up.base, up.index, formula, f, g, r.pointwise_truth_set))
+    return records
+
+
+def _sweep_bases(max_carrier):
+    for c in range(1, max_carrier + 1):
+        pairs = [(a, b) for a in range(c) for b in range(c)]
+        for bits in range(2 ** len(pairs)):
+            rel = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            yield F.Structure(tuple(range(c)), rel)
+
+
+@pytest.mark.parametrize("plant", [empty_quotient_membership, drop_one_quotient_pair])
+def test_planted_fault_records_match_los_check(monkeypatch, plant):
+    # each lane's records are one relation's, with its own truth sets
+    plant(monkeypatch)
+    expected = Counter()
+    for base in _sweep_bases(2):
+        for m in (1, 2):
+            for w in range(m):
+                up = F.ultrapower_quotient(base, F.FinIndex(tuple(range(m)), w))
+                expected.update(_brute_force_records(up, 2))
+    report = F.los_sweep(2, 2, 2)
+    assert expected and Counter(report.mismatches) == expected
+
+
+def test_uneven_plant_fails_some_relations_only(monkeypatch):
+    # only relations that put class 0 in class 1 lose a quotient pair
+    drop_one_quotient_pair(monkeypatch)
+    failed = {record[0] for record in F.los_sweep(2, 2, 2).mismatches}
+    bases = set(_sweep_bases(2))
+    assert failed and failed < bases
+    assert all((0, 1) in base.membership for base in failed)
+
+    up = F.ultrapower_quotient(*F.parse_model(MODEL))
+    records = F.check_at_w(up) + _brute_force_records(up, 2)
+    assert Counter(F.model_sweep(*F.parse_model(MODEL), 2).mismatches) == Counter(records)
+
+
+def test_los_sweep_builds_one_quotient_per_index(monkeypatch):
+    # the classes do not depend on the relation: one quotient per
+    # carrier size, index size and distinguished point
+    calls = 0
+    build = F.ultrapower_quotient
+
+    def counting(base, index):
+        nonlocal calls
+        calls += 1
+        return build(base, index)
+
+    monkeypatch.setattr(F, "ultrapower_quotient", counting)
+    report = F.los_sweep(3, 3, 1)
+    assert calls == 3 * (1 + 2 + 3)
+    assert report.instances == (2 + 16 + 512) * 6
+
+
 # -- input caps ----------------------------------------------------------------
 
 
@@ -288,3 +360,29 @@ def test_caps_accept_the_largest_inputs(monkeypatch):
         for max_index, max_carrier in ((3, 3), (7, 3), (12, 1)):
             with pytest.raises(AssertionError, match="reached ultrapower_quotient"):
                 sweep(max_index, max_carrier)
+
+
+@pytest.mark.parametrize("max_index, max_carrier, max_depth, message", [
+    (1, 2, 7, "formula depth 7 is outside the pool's depths 1 to 2"),
+    (3, 3, 0, "formula depth 0 is outside the pool's depths 1 to 2"),
+    (3, 3, -3, "formula depth -3 is outside the pool's depths 1 to 2"),
+    (0, 3, 2, "sweep index size 0 is below the limit of 1"),
+    (3, 0, 2, "sweep carrier size 0 is below the limit of 1"),
+    (-1, 3, 2, "sweep index size -1 is below the limit of 1"),
+])
+def test_sweeps_refuse_sizes_and_depths_outside_the_pool(
+        monkeypatch, max_index, max_carrier, max_depth, message):
+    forbid_quotients(monkeypatch)
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        F.los_sweep(max_index, max_carrier, max_depth)
+    if "depth" not in message:
+        with pytest.raises(EngineError, match=f"^{message}$"):
+            F.psi_sweep(max_index, max_carrier)
+
+
+@pytest.mark.parametrize("max_depth", [0, 3, 7, -3])
+def test_model_sweep_refuses_depths_outside_the_pool(monkeypatch, max_depth):
+    base, index = F.parse_model(MODEL)
+    forbid_quotients(monkeypatch)
+    with pytest.raises(EngineError, match=f"formula depth {max_depth} is outside"):
+        F.model_sweep(base, index, max_depth)

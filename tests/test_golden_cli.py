@@ -23,7 +23,7 @@ GOLDEN_FILE = GOLDEN_DIR / "cli.json"
 
 # ``{golden}`` stands for GOLDEN_DIR, so the stored argv is machine-independent.
 CASES = [
-    # README examples (the default ``oracle`` and ``repl`` are left out)
+    # README examples (``repl`` is left out)
     ["eval", "(w^2-1)/(w+1) + 1"],
     ["shadow", "(2*w^2+3)/(w^2-w)"],
     ["classify", "2 + 5/w"],
@@ -34,7 +34,8 @@ CASES = [
     ["hull", "approachable", "n", "w"],
     ["hull", "limit", "k/(k+1)"],
     ["ext", "(3 + M0)*(2 + M0)"],
-    # small oracle runs and file inputs
+    # oracle runs, the default sizes among them, and file inputs
+    ["oracle"],
     ["oracle", "--index-size", "2", "--carrier-size", "2", "--depth", "1"],
     ["oracle", "--model", "{golden}/toy.model"],
     ["measure", "--sigma", "{golden}/family.sigma"],
@@ -56,6 +57,12 @@ CASES = [
     ["hull", "approachable", "v:2", "1/w, 3"],
     ["hull", "limit", "1/(k+1) + w/(w+1)"],
     ["hull", "limit", "1/(k+1)", "--slope", "0", "--intercept", "0"],
+    # oracle sizes and depths outside the formula pool are refused
+    ["oracle", "--index-size", "1", "--carrier-size", "2", "--depth", "7"],
+    ["oracle", "--depth", "0"],
+    ["oracle", "--depth", "-3"],
+    ["oracle", "--index-size", "0"],
+    ["oracle", "--carrier-size", "0"],
     # one case per error exit code
     ["frobnicate", "1"],
     ["eval", "1/0"],
