@@ -227,12 +227,14 @@ def _cmd_ext(rest):
 def _cmd_oracle(rest):
     rest = list(rest)
     model_file = _take_flag(rest, "--model")
-    index_size = int(_take_flag(rest, "--index-size") or 3)
-    carrier_size = int(_take_flag(rest, "--carrier-size") or 3)
+    sizes = {flag: _take_flag(rest, flag) for flag in ("--index-size", "--carrier-size")}
     depth = int(_take_flag(rest, "--depth") or 2)
     if rest:
         raise _Usage(f"unexpected arguments: {' '.join(rest)}")
     if model_file is not None:
+        for flag, value in sizes.items():
+            if value is not None:
+                raise _Usage(f"{flag} does not apply to --model: the model file sets the sizes")
         with open(model_file, "r", encoding="utf-8") as handle:
             base, index = finmodel.parse_model(handle.read())
         report = finmodel.model_sweep(base, index, depth)
@@ -241,6 +243,7 @@ def _cmd_oracle(rest):
         text = (f"model: {len(base.carrier)} elements, index {len(index.elements)}, "
                 f"{report.checks} checks, {len(report.mismatches)} mismatches: ")
     else:
+        index_size, carrier_size = (int(value or 3) for value in sizes.values())
         sweeps = {"los": finmodel.los_sweep(index_size, carrier_size, depth),
                   "psi": finmodel.psi_sweep(index_size, carrier_size)}
         ok = all(r.ok for r in sweeps.values())

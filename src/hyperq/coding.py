@@ -29,7 +29,7 @@ from . import extnum as X
 from . import germ as G
 from .errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
 from .germ import Germ
-from .measure import Piece, _cuts, _order, _sweep, fold_set, piece_of
+from .measure import Piece, _cuts, _order, _sweep, piece_of
 
 # -- the normal form -----------------------------------------------------
 
@@ -320,7 +320,7 @@ def predicate_from_ast(node, var: str = "w") -> Cuts:
         p = piece_of(leaf, var)
         return InInterval(p.lo, p.hi, p.lo_closed, p.hi_closed)
 
-    return fold_set(node, atom)
+    return E.fold(node, atom, E.SET_OPS)
 
 
 def predicate_to_ast(pred: Cuts, var: str = "w"):

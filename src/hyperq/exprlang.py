@@ -18,11 +18,14 @@ folded into a single number node, so ``1/0`` is rejected while parsing.
 ``parse(format(t))`` returns ``t`` for every tree ``t`` in the parser's
 image.  Input whose brackets and prefix operators, or whose tree, nest
 deeper than ``MAX_DEPTH`` levels is refused with a ``ParseError``.  The
-normative grammar ships in docs/grammar.ebnf.
+normative grammar ships in docs/grammar.ebnf.  Every evaluator of these
+trees is one ``fold``: an operator table for the inner nodes and a leaf
+function for the rest.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -149,6 +152,7 @@ class Token(NamedTuple):
 
 
 _PUNCT = "+-*/^()[]{},&|~"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes other scripts' digits
 
 
 def _tokenize(text):
@@ -166,13 +170,13 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             tok = text[start:i]
             tokens.append(Token("num", tok, line, col))
@@ -541,57 +545,60 @@ def format(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-# -- evaluation into germs ----------------------------------------------
+# -- evaluation: one fold over the tree ----------------------------------
+
+
+def fold(node, leaf, ops):
+    """The value of ``node``.  A node whose type is a key of ``ops``
+    applies that function to the values of its children, and a ``Pow``
+    also passes its literal exponent; every other node is ``leaf(node)``."""
+    op = ops.get(type(node))
+    if op is None:
+        return leaf(node)
+    if type(node) is Pow:
+        return op(fold(node.base, leaf, ops), node.exp)
+    return op(*[fold(child, leaf, ops) for child in vars(node).values()])
+
+
+# arithmetic on germs and families; set connectives on sets' own methods
+ARITH = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+         Mul: operator.mul, Div: operator.truediv, Pow: operator.pow}
+SET_OPS = {NotP: lambda x: x.complement(), AndP: lambda x, y: x.intersect(y),
+           OrP: lambda x, y: x.union(y)}
 
 
 def to_germ(node, var: str = "w") -> Germ:
     """Evaluate an arithmetic AST into a Germ, reading ``var`` as the
     indeterminate."""
-    if isinstance(node, Num):
-        return Germ.constant(node.value)
-    if isinstance(node, Var):
-        if node.name != var:
-            raise EngineError(f"variable {node.name!r} not allowed here")
-        return Germ(P.VAR)
-    if isinstance(node, Neg):
-        return -to_germ(node.child, var)
-    if isinstance(node, Add):
-        return to_germ(node.left, var) + to_germ(node.right, var)
-    if isinstance(node, Sub):
-        return to_germ(node.left, var) - to_germ(node.right, var)
-    if isinstance(node, Mul):
-        return to_germ(node.left, var) * to_germ(node.right, var)
-    if isinstance(node, Div):
-        return to_germ(node.left, var) / to_germ(node.right, var)
-    if isinstance(node, Pow):
-        return to_germ(node.base, var) ** node.exp
-    if isinstance(node, ShadowOf):
-        sh = shadow(to_germ(node.child, var))
-        if isinstance(sh, InfiniteShadow):
-            raise EngineError("shadow of an unlimited germ is not a germ")
-        return Germ.constant(sh)
-    raise EngineError(f"not a germ expression: {format(node)}")
+
+    def leaf(node):
+        if isinstance(node, Num):
+            return Germ.constant(node.value)
+        if isinstance(node, Var):
+            if node.name != var:
+                raise EngineError(f"variable {node.name!r} not allowed here")
+            return Germ(P.VAR)
+        if isinstance(node, ShadowOf):
+            sh = shadow(to_germ(node.child, var))
+            if isinstance(sh, InfiniteShadow):
+                raise EngineError("shadow of an unlimited germ is not a germ")
+            return Germ.constant(sh)
+        raise EngineError(f"not a germ expression: {format(node)}")
+
+    return fold(node, leaf, ARITH)
 
 
-def to_family(node) -> BivariateGerm:
-    """Evaluate a two-variable AST into a k-indexed family of germs."""
+def _family_leaf(node) -> BivariateGerm:
     if isinstance(node, Num):
         return BivariateGerm.constant(node.value)
     if isinstance(node, Var):
         return VAR_K if node.name == "k" else VAR_W
-    if isinstance(node, Neg):
-        return -to_family(node.child)
-    if isinstance(node, Add):
-        return to_family(node.left) + to_family(node.right)
-    if isinstance(node, Sub):
-        return to_family(node.left) - to_family(node.right)
-    if isinstance(node, Mul):
-        return to_family(node.left) * to_family(node.right)
-    if isinstance(node, Div):
-        return to_family(node.left) / to_family(node.right)
-    if isinstance(node, Pow):
-        return to_family(node.base) ** node.exp
     raise EngineError(f"not a family expression: {format(node)}")
+
+
+def to_family(node) -> BivariateGerm:
+    """Evaluate a two-variable AST into a k-indexed family of germs."""
+    return fold(node, _family_leaf, ARITH)
 
 
 # -- germ -> AST ---------------------------------------------------------

@@ -1,19 +1,22 @@
 """Neutrices and external numbers over the germ field.
 
 Within the rational-function fragment every convex additive subgroup is
-either {0}, the whole field, or a valuation grade {x : valuation(x) <= g},
-so a neutrix is a tag plus one integer.  The monad of 0 is grade -1, the
-galaxy of 0 is grade 0.  An external number is a germ centre plus a
-neutrix, with Minkowski addition and multiplication; its canonical form
-drops every asymptotic term of the centre that the neutrix absorbs.
-That is one polynomial division: the quotient of num*w^t by den holds
-the expansion of the centre at infinity down to w^-t, t = max(0, -g-1).
+a valuation grade {x : valuation(x) <= g} on the extended integers: {0}
+is grade -inf and the whole field grade +inf, so a neutrix is one
+number.  The monad of 0 is grade -1, the galaxy of 0 is grade 0; sums
+of neutrices take the larger grade and products add grades.  An
+external number is a germ centre plus a neutrix, with Minkowski
+addition and multiplication; its canonical form drops every asymptotic
+term of the centre that the neutrix absorbs.  That is one polynomial
+division: the quotient of num*w^t by den holds the expansion of the
+centre at infinity down to w^-t, t = max(0, -g-1).
 Distributivity is not asserted; products are only guaranteed to contain
 the Minkowski product, which matches the known algebra of these objects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _poly as P
@@ -25,81 +28,60 @@ from .germ import Germ
 
 @dataclass(frozen=True)
 class Neutrix:
-    kind: str  # "zero" | "graded" | "all"
-    grade: int | None = None
+    grade: int | float  # an int, or -math.inf for {0} and math.inf for the field
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "graded", "all"):
-            raise ValueError(f"unknown neutrix kind {self.kind!r}")
-        if (self.kind == "graded") != (self.grade is not None):
-            raise ValueError("graded neutrices need a grade; others must not have one")
+    @property
+    def kind(self) -> str:
+        """"zero", "graded" or "all", read off the grade."""
+        return {-math.inf: "zero", math.inf: "all"}.get(self.grade, "graded")
 
     def contains(self, g: Germ) -> bool:
-        if g.is_zero() or self.kind == "all":
-            return True
-        return self.kind == "graded" and G.valuation(g) <= self.grade
+        return g.is_zero() or G.valuation(g) <= self.grade
 
     def label(self) -> str:
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "all":
-            return "R"
-        if self.grade == -1:
-            return "M0"
-        if self.grade == 0:
-            return "G0"
-        return f"N({self.grade})"
+        return _LABELS.get(self.grade, f"N({self.grade})")
 
 
-ZERO_N = Neutrix("zero")
-ALL_N = Neutrix("all")
-M0 = Neutrix("graded", -1)  # monad of 0: the infinitesimals
-G0 = Neutrix("graded", 0)  # galaxy of 0: the limited germs
+_LABELS = {-math.inf: "0", math.inf: "R", -1: "M0", 0: "G0"}
+ZERO_N = Neutrix(-math.inf)
+ALL_N = Neutrix(math.inf)
+M0 = Neutrix(-1)  # monad of 0: the infinitesimals
+G0 = Neutrix(0)  # galaxy of 0: the limited germs
 
 
 def graded(grade: int) -> Neutrix:
-    return Neutrix("graded", grade)
+    return Neutrix(grade)
 
 
 def neutrix_add(n: Neutrix, m: Neutrix) -> Neutrix:
-    if n.kind == "all" or m.kind == "all":
-        return ALL_N
-    if n.kind == "zero":
-        return m
-    if m.kind == "zero":
-        return n
-    return graded(max(n.grade, m.grade))
+    return n if n.grade >= m.grade else m
 
 
 def neutrix_mul(n: Neutrix, m: Neutrix) -> Neutrix:
-    if n.kind == "zero" or m.kind == "zero":
+    if ZERO_N in (n, m):  # -inf + inf has no value; {0} times anything is {0}
         return ZERO_N
-    if n.kind == "all" or m.kind == "all":
-        return ALL_N
-    return graded(n.grade + m.grade)
+    return Neutrix(n.grade + m.grade)
 
 
 def neutrix_scale(a: Germ, n: Neutrix) -> Neutrix:
-    if a.is_zero() or n.kind == "zero":
+    if a.is_zero():
         return ZERO_N
-    if n.kind == "all":
-        return ALL_N
-    return graded(n.grade + G.valuation(a))
+    return Neutrix(n.grade + G.valuation(a))
 
 
 def _truncate(center: Germ, neutrix: Neutrix) -> Germ:
     """Drop the absorbed part of the centre: all asymptotic terms of
     valuation at most the neutrix grade."""
-    if neutrix.kind != "graded":
-        return center if neutrix.kind == "zero" else G.ZERO
     grade = neutrix.grade
+    if grade == -math.inf:
+        return center
+    if neutrix.contains(center):  # the whole field, or a centre it absorbs whole
+        return G.ZERO
     t = max(0, -grade - 1)
     # q[i] is the coefficient of w^(i - t) in the expansion at infinity;
     # the remainder holds only terms below w^-t, all absorbed
     q = P.divmod_(P.mul_xk(center.num, t), center.den)[0]
     kept = q[grade + t + 1:]  # the terms above the grade
-    if not kept:
-        return G.ZERO
     s = next(i for i, c in enumerate(kept) if c)
     low = grade + 1 + s  # exponent of the lowest kept term
     if low >= 0:
@@ -114,7 +96,7 @@ class ExternalNumber:
     neutrix: Neutrix
 
     def __str__(self):
-        if self.neutrix.kind == "zero":
+        if self.neutrix == ZERO_N:
             return str(self.center)
         if self.center.is_zero():
             return self.neutrix.label()
@@ -163,37 +145,33 @@ def parse_ext(text: str) -> ExternalNumber:
     return _from_ast(E.parse(text, "ext"))
 
 
-def _from_ast(node) -> ExternalNumber:
+def _neg(x: ExternalNumber) -> ExternalNumber:
+    # negation keeps the centre truncated
+    return ExternalNumber(-x.center, x.neutrix)
+
+
+_OPS = {E.Neg: _neg, E.Add: extnum_add, E.Sub: lambda x, y: extnum_add(x, _neg(y)),
+        E.Mul: extnum_mul}
+# whether a subtree holds a neutrix literal
+_HOLDS = dict.fromkeys((E.Neg, E.Add, E.Sub, E.Mul, E.Div, E.ShadowOf), lambda *held: any(held))
+_HOLDS[E.Pow] = lambda held, exp: held
+
+
+def _leaf(node) -> ExternalNumber:
+    """A neutrix literal or a germ-only subtree.  Division, powers and
+    shadows are leaves, so over a neutrix they are refused before their
+    children are evaluated."""
     if isinstance(node, E.NeutrixLit):
         if abs(node.grade) > G.MAX_EXPONENT:
             raise EngineError(f"neutrix grade {node.grade} exceeds the limit of "
                               f"{G.MAX_EXPONENT} in absolute value")
         return make(G.ZERO, graded(node.grade))
-    if isinstance(node, E.Neg):
-        return _neg(_from_ast(node.child))
-    if isinstance(node, E.Add):
-        return extnum_add(_from_ast(node.left), _from_ast(node.right))
-    if isinstance(node, E.Sub):
-        return extnum_add(_from_ast(node.left), _neg(_from_ast(node.right)))
-    if isinstance(node, E.Mul):
-        return extnum_mul(_from_ast(node.left), _from_ast(node.right))
-    if _is_germ_only(node):
+    if not E.fold(node, lambda n: isinstance(n, E.NeutrixLit), _HOLDS):
         return make(E.to_germ(node))
     if isinstance(node, E.ShadowOf):
         raise ValueError("shadow takes a germ, not an external number")
     raise ValueError("division and powers of neutrices are not supported")
 
 
-def _neg(x: ExternalNumber) -> ExternalNumber:
-    # negation keeps the centre truncated
-    return ExternalNumber(-x.center, x.neutrix)
-
-
-def _is_germ_only(node) -> bool:
-    if isinstance(node, E.NeutrixLit):
-        return False
-    for field in getattr(node, "__dataclass_fields__", {}):
-        child = getattr(node, field)
-        if hasattr(child, "__dataclass_fields__") and not _is_germ_only(child):
-            return False
-    return True
+def _from_ast(node) -> ExternalNumber:
+    return E.fold(node, _leaf, _OPS)

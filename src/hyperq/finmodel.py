@@ -328,17 +328,23 @@ def ultrapower_quotient(base: Structure, index: FinIndex) -> FinUltrapower:
 
 def check_at_w(up: FinUltrapower):
     """Exhaustively compare =_U and in_U (via the ultrafilter) with
-    plain evaluation at w; returns the list of disagreements."""
+    plain evaluation at w; returns the list of disagreements, one record
+    per failing pair of functions.  Two functions with the same class and
+    the same value at w behave alike, so the functions are grouped by
+    both and each pair of groups is decided once."""
     pos_w = up.index.elements.index(up.index.w)
-    bad = []
+    groups = {}
     for f in up.functions:
-        for g in up.functions:
-            same = up.class_of[f] == up.class_of[g]
-            if same != (f[pos_w] == g[pos_w]):
-                bad.append(("eq", f, g))
-            member = (up.class_of[f], up.class_of[g]) in up.quotient.membership
-            if member != ((f[pos_w], g[pos_w]) in up.base.membership):
-                bad.append(("in", f, g))
+        groups.setdefault((up.class_of[f], f[pos_w]), []).append(f)
+    bad = []
+    for (cf, vf), fs in groups.items():
+        for (cg, vg), gs in groups.items():
+            kinds = []
+            if (cf == cg) != (vf == vg):
+                kinds.append("eq")
+            if ((cf, cg) in up.quotient.membership) != ((vf, vg) in up.base.membership):
+                kinds.append("in")
+            bad += ((kind, f, g) for kind in kinds for f in fs for g in gs)
     return bad
 
 
@@ -388,9 +394,9 @@ class PsiCode:
 
 
 def psi_finite(up: FinUltrapower, class_ids) -> PsiCode:
+    """The code of a set X of classes: the union of the classes in X."""
     xs = frozenset(class_ids)
-    fns = frozenset(fn for fn in up.functions if up.class_of[fn] in xs)
-    return PsiCode(fns, xs)
+    return PsiCode(frozenset().union(*(up.classes[i] for i in xs)), xs)
 
 
 def psi_setop_check(up: FinUltrapower, xs, ys) -> dict:
@@ -586,7 +592,10 @@ def model_sweep(base: Structure, index: FinIndex, max_depth: int = 2) -> SweepRe
 
 def psi_sweep(max_index: int = 3, max_carrier: int = 3) -> SweepReport:
     """Exhaust every pair of class subsets on every instance and check
-    the set-algebra preservation identities."""
+    the set-algebra preservation identities.  A code is a union of
+    classes, so the identities also check that the quotient's classes
+    partition the functions: overlapping classes fail intersection and
+    difference."""
     _check_sweep(max_index, max_carrier)
     report = SweepReport()
     for c in range(1, max_carrier + 1):

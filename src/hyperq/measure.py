@@ -43,7 +43,7 @@ from .errors import (
     NotDisjointError,
     OutOfAlgebraError,
 )
-from .extnum import ZERO_N, ExternalNumber, extnum_order, neutrix_add
+from .extnum import ZERO_N, ExternalNumber, extnum_order
 from .germ import Germ
 from .hull import check_depth_bound, is_natural_germ
 
@@ -76,9 +76,10 @@ def _order(x, y) -> int:
     relation = extnum_order(a, b)
     if relation != "overlapping":
         return -1 if relation == "less" else 1
-    if a.neutrix == b.neutrix:
+    ga, gb = a.neutrix.grade, b.neutrix.grade
+    if ga == gb:
         return x[1] - y[1]
-    if neutrix_add(a.neutrix, b.neutrix) == a.neutrix:
+    if ga > gb:
         return 1 if x[1] else -1
     return -1 if y[1] else 1
 
@@ -270,17 +271,6 @@ def finite_additivity_check(x1: InternalSet, x2: InternalSet) -> AdditivityRepor
 # -- the standard interval algebra on [0,1] ------------------------------
 
 
-def fold_set(node, atom):
-    """The value of a set expression: ``atom`` evaluates each leaf, and
-    the values' own union, intersect and complement combine them."""
-    if isinstance(node, (E.OrP, E.AndP)):
-        left, right = fold_set(node.left, atom), fold_set(node.right, atom)
-        return left.union(right) if isinstance(node, E.OrP) else left.intersect(right)
-    if isinstance(node, E.NotP):
-        return fold_set(node.child, atom).complement()
-    return atom(node)
-
-
 def piece_of(leaf, var: str = "w") -> Piece:
     """The piece an interval or singleton leaf names."""
     if isinstance(leaf, E.Interval):
@@ -293,7 +283,7 @@ def piece_of(leaf, var: str = "w") -> Piece:
 
 
 def internal_set_from_ast(node, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
-    return fold_set(node, lambda leaf: InternalSet([piece_of(leaf)], timeline))
+    return E.fold(node, lambda leaf: InternalSet([piece_of(leaf)], timeline), E.SET_OPS)
 
 
 def parse_internal_set(text: str, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
@@ -310,7 +300,8 @@ def lebesgue(expr) -> Fraction:
             raise OutOfAlgebraError("Lebesgue evaluation needs rational endpoints")
         return InternalSet([piece])
 
-    return loeb_measure(fold_set(E.parse(expr, "set") if isinstance(expr, str) else expr, atom))
+    node = E.parse(expr, "set") if isinstance(expr, str) else expr
+    return loeb_measure(E.fold(node, atom, E.SET_OPS))
 
 
 # -- sigma families -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared random generators for the test suite (deterministic seeds),
 and planted faults for the finite-model oracle."""
 
+import dataclasses
 from fractions import Fraction
 
 from hyperq import finmodel
@@ -87,3 +88,19 @@ def forbid_quotients(monkeypatch):
         raise AssertionError("an oversized input reached ultrapower_quotient")
 
     monkeypatch.setattr(finmodel, "ultrapower_quotient", tripwire)
+
+
+def overlapping_classes(monkeypatch):
+    """Plant a fault in the quotient's partition: the least function of
+    class 0 is copied into class 1 as well, while ``class_of`` still
+    names one class per function."""
+    build = finmodel.ultrapower_quotient
+
+    def faulty(base, index):
+        up = build(base, index)
+        if len(up.classes) < 2:
+            return up
+        first, second, *rest = up.classes
+        return dataclasses.replace(up, classes=(first, second | {min(first)}, *rest))
+
+    monkeypatch.setattr(finmodel, "ultrapower_quotient", faulty)

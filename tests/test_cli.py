@@ -338,3 +338,34 @@ def test_shadow_of_an_external_number_is_refused(expr):
     r = run("ext", expr)
     assert r.exit_code == DOMAIN
     assert r.text == "error: shadow takes a germ, not an external number"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--model", "{model}", "--index-size", "100", "--carrier-size", "0"],
+     "--index-size"),
+    (["oracle", "--model", "{model}", "--carrier-size", "2"], "--carrier-size"),
+    (["oracle", "--index-size", "2", "--model", "{model}", "--depth", "1"], "--index-size"),
+], ids=["both", "carrier", "index"])
+def test_oracle_model_refuses_sweep_sizes(monkeypatch, capsys, tmp_path, argv, flag):
+    # a model file sets its own carrier and index; the sweep sizes would be ignored
+    model = tmp_path / "ok.model"
+    model.write_text("carrier: 0 1\nmember: 0 1\nindex: 2\nw: 0\n")
+    argv = [a.format(model=model) for a in argv]
+    forbid_quotients(monkeypatch)
+    message = f"{flag} does not apply to --model: the model file sets the sizes"
+    r = run(*argv)
+    assert r.exit_code == USAGE and r.text == f"error: {message}"
+    assert main(["--json", *argv]) == USAGE
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == USAGE
+    assert record["error"] == message
+
+
+@pytest.mark.parametrize("expr, char", [
+    ("\u0663+w", "\u0663"), ("\u00b2", "\u00b2"), ("1\u0661", "\u0661"),
+], ids=["arabic-indic-three", "superscript-two", "after-ascii"])
+def test_non_ascii_digits_are_parse_errors(expr, char):
+    # the grammar's digits are 0-9; other scripts' digits and superscripts are not numbers
+    r = run("eval", expr)
+    assert r.exit_code == PARSE
+    assert r.text.startswith(f"error: unexpected character {char!r}")

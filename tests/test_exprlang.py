@@ -41,6 +41,31 @@ def test_k_rejected_outside_family_mode():
     E.parse("k + 1", "family")  # fine here
 
 
+@pytest.mark.parametrize("text, char", [
+    ("\u0663", "\u0663"), ("\u00b2", "\u00b2"), ("\u0663+w", "\u0663"),
+    ("2\u0663", "\u0663"), ("w^\u00b2", "\u00b2"),
+])
+def test_digits_are_ascii(text, char):
+    # the grammar's digits are 0-9: str.isdigit would take these too
+    with pytest.raises(ParseError, match=f"unexpected character {char!r}"):
+        E.parse(text)
+
+
+def test_fold_applies_the_table_and_hands_other_nodes_to_the_leaf():
+    ops = {E.Neg: "neg({})".format, E.Add: "add({},{})".format, E.Sub: "sub({},{})".format,
+           E.Mul: "mul({},{})".format, E.Pow: "pow({},{})".format}
+    leaves = []
+
+    def leaf(node):
+        leaves.append(E.format(node))
+        return leaves[-1]
+
+    # Div and ShadowOf are not in the table: they reach the leaf whole
+    value = E.fold(E.parse("-(w + 2)^3*shadow(w) - 1/w"), leaf, ops)
+    assert value == "sub(mul(neg(pow(add(w,2),3)),shadow(w)),1/w)"
+    assert leaves == ["w", "2", "shadow(w)", "1/w"]
+
+
 def test_decimal_literals_become_exact_fractions():
     assert E.parse("0.25") == E.Num(Fraction(1, 4))
     assert E.parse("1.5*w") == E.Mul(E.Num(Fraction(3, 2)), E.Var("w"))

@@ -76,6 +76,43 @@ def test_neutrix_add_mul_identities():
     assert X.neutrix_scale(Germ.constant(0), X.G0) == X.ZERO_N
 
 
+def _per_kind_add(n, m):
+    if "all" in (n.kind, m.kind):
+        return X.ALL_N
+    if n.kind == "zero":
+        return m
+    return n if m.kind == "zero" else X.graded(max(n.grade, m.grade))
+
+
+def _per_kind_mul(n, m):
+    if "zero" in (n.kind, m.kind):
+        return X.ZERO_N
+    return X.ALL_N if "all" in (n.kind, m.kind) else X.graded(n.grade + m.grade)
+
+
+def _per_kind_scale(a, n):
+    if a.is_zero() or n.kind == "zero":
+        return X.ZERO_N
+    return X.ALL_N if n.kind == "all" else X.graded(n.grade + valuation(a))
+
+
+def test_neutrix_grades_agree_with_the_per_kind_definitions():
+    # {0} is grade -inf and the whole field +inf: arithmetic is max and +
+    rng = random.Random(45)
+    neutrices = [X.ZERO_N, X.ALL_N] + [X.graded(g) for g in range(-3, 4)]
+    assert [n.kind for n in neutrices[:3]] == ["zero", "all", "graded"]
+    assert [n.label() for n in neutrices[:6]] == ["0", "R", "N(-3)", "N(-2)", "M0", "G0"]
+    germs = [Germ.constant(0), one, w, 1 / w] + [random_germ(rng) for _ in range(8)]
+    for n in neutrices:
+        for m in neutrices:
+            assert X.neutrix_add(n, m) == _per_kind_add(n, m)
+            assert X.neutrix_mul(n, m) == _per_kind_mul(n, m)
+        for a in germs:
+            assert X.neutrix_scale(a, n) == _per_kind_scale(a, n)
+            assert n.contains(a) == (a.is_zero() or n.kind == "all"
+                                     or (n.kind == "graded" and valuation(a) <= n.grade))
+
+
 # -- external numbers ------------------------------------------------------
 
 

@@ -1,9 +1,15 @@
 import itertools
+import time
 from collections import Counter
 
 import pytest
 
-from helpers import drop_one_quotient_pair, empty_quotient_membership, forbid_quotients
+from helpers import (
+    drop_one_quotient_pair,
+    empty_quotient_membership,
+    forbid_quotients,
+    overlapping_classes,
+)
 from hyperq import finmodel as F
 from hyperq.errors import EngineError
 
@@ -149,6 +155,36 @@ def test_psi_preservation_random_subsets():
     for xs in (frozenset(), frozenset({0}), frozenset({0, 2})):
         for ys in (frozenset({1}), frozenset({0, 1}), frozenset(ids)):
             assert all(F.psi_setop_check(up, xs, ys).values())
+
+
+def _psi_by_scan(up, class_ids):
+    """The code of a class set read off ``class_of`` over every function:
+    the reference for psi_finite."""
+    xs = frozenset(class_ids)
+    return frozenset(fn for fn in up.functions if up.class_of[fn] in xs)
+
+
+def test_psi_reads_the_classes():
+    for c in (1, 2):
+        for m in (1, 2, 3):
+            for w in range(m):
+                base = F.Structure(tuple(range(c)), frozenset())
+                up = F.ultrapower_quotient(base, F.FinIndex(tuple(range(m)), w))
+                ids = range(len(up.classes))
+                for r in range(len(up.classes) + 1):
+                    for xs in itertools.combinations(ids, r):
+                        code = F.psi_finite(up, xs)
+                        assert code.functions == _psi_by_scan(up, xs)
+                        assert code.classes == frozenset(xs)
+
+
+def test_overlapping_classes_fail_psi(monkeypatch):
+    overlapping_classes(monkeypatch)
+    up = F.ultrapower_quotient(F.Structure((0, 1), frozenset()), F.FinIndex((0, 1), 0))
+    result = F.psi_setop_check(up, {0}, {1})
+    assert not result["intersection"] and not result["difference"]
+    report = F.psi_sweep(2, 2)
+    assert report.mismatches and not report.ok
 
 
 def test_small_sweeps_clean():
@@ -300,6 +336,56 @@ def test_uneven_plant_fails_some_relations_only(monkeypatch):
     up = F.ultrapower_quotient(*F.parse_model(MODEL))
     records = F.check_at_w(up) + _brute_force_records(up, 2)
     assert Counter(F.model_sweep(*F.parse_model(MODEL), 2).mismatches) == Counter(records)
+
+
+def _check_at_w_pairwise(up):
+    """check_at_w decided one pair of functions at a time: the reference."""
+    pos_w = up.index.elements.index(up.index.w)
+    bad = []
+    for f in up.functions:
+        for g in up.functions:
+            same = up.class_of[f] == up.class_of[g]
+            if same != (f[pos_w] == g[pos_w]):
+                bad.append(("eq", f, g))
+            member = (up.class_of[f], up.class_of[g]) in up.quotient.membership
+            if member != ((f[pos_w], g[pos_w]) in up.base.membership):
+                bad.append(("in", f, g))
+    return bad
+
+
+def _moved_class(up):
+    """The quotient with one function's class_of moved to the next class,
+    so that both kinds of check_at_w record occur."""
+    fn = max(up.functions)
+    class_of = {**up.class_of, fn: (up.class_of[fn] + 1) % len(up.classes)}
+    return F.FinUltrapower(up.base, up.index, up.ultrafilter, up.functions, up.classes,
+                           class_of, up.quotient)
+
+
+@pytest.mark.parametrize("plant", [None, empty_quotient_membership, drop_one_quotient_pair])
+def test_check_at_w_matches_the_pairwise_loop(monkeypatch, plant):
+    if plant is not None:
+        plant(monkeypatch)
+    quotients = [F.ultrapower_quotient(*F.parse_model(MODEL))]
+    for base in _sweep_bases(2):
+        for m in (1, 2, 3):
+            quotients.append(F.ultrapower_quotient(base, F.FinIndex(tuple(range(m)), m - 1)))
+    failed = set()
+    for up in quotients + [_moved_class(up) for up in quotients]:
+        expected = Counter(_check_at_w_pairwise(up))
+        assert Counter(F.check_at_w(up)) == expected
+        failed.update(kind for kind, _, _ in expected.elements())
+    assert failed == {"eq", "in"}
+
+
+def test_check_at_w_on_the_largest_model_is_fast():
+    # 4^6 = 4096 functions, at the cap; pairwise that is 16.8 M pairs
+    base, index = F.parse_model(
+        "carrier: a b c d\nmember: a b\nmember: b c\nmember: c d\nmember: d d\nindex: 6\nw: 2\n")
+    start = time.process_time()
+    report = F.model_sweep(base, index)
+    assert time.process_time() - start < 1
+    assert report.ok and report.checks == 3200
 
 
 def test_los_sweep_builds_one_quotient_per_index(monkeypatch):

@@ -67,6 +67,20 @@ CASES = [
     ["frobnicate", "1"],
     ["eval", "1/0"],
     ["hull", "point", "q", "w"],
+    # the evaluators' refusals: neutrix division, powers and grades,
+    # shadows outside their domain, and set atoms outside the algebra
+    ["ext", "M0/2"],
+    ["ext", "N(2000)/2"],
+    ["ext", "N(2000)*shadow(M0)"],
+    ["ext", "shadow(w) + M0"],
+    ["ext", "(1+M0)^2"],
+    ["ext", "-(w + M0) - 2*G0"],
+    ["hull", "limit", "shadow(k)"],
+    ["measure", "~monad(1/2)"],
+    # digits are ASCII only, and a model file takes no sweep sizes
+    ["eval", "\u0663+w"],
+    ["eval", "\u00b2"],
+    ["oracle", "--model", "{golden}/toy.model", "--index-size", "100", "--carrier-size", "0"],
 ]
 
 
