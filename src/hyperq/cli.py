@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exprlang, extnum, finmodel, germ, hull, measure
-from .errors import EngineError
+from .errors import EngineError, read_int
 from .exprlang import ParseError
 
 OK, USAGE, PARSE, DOMAIN = 0, 2, 3, 4
@@ -79,6 +79,12 @@ def _take_flag(args, name):
     return None
 
 
+def _int_flag(args, name, default=None):
+    """An integer flag's value, ``default`` when the flag is absent."""
+    value = _take_flag(args, name)
+    return default if value is None else read_int(value, name, _Usage)
+
+
 class _Usage(Exception):
     pass
 
@@ -129,11 +135,12 @@ def _cmd_classify(rest):
 def _cmd_measure(rest):
     rest = list(rest)
     sigma_file = _take_flag(rest, "--sigma")
-    depth_text = _take_flag(rest, "--depth")
+    depth = _int_flag(rest, "--depth")
     if sigma_file is not None:
         with open(sigma_file, "r", encoding="utf-8") as handle:
             family, file_depth = measure.parse_sigma_file(handle.read())
-        depth = int(depth_text) if depth_text else (file_depth or 12)
+        if depth is None:
+            depth = file_depth or 12
         cert = measure.sigma_limit(family, depth)
         return _ok(
             "measure",
@@ -159,7 +166,7 @@ def _structure(name: str):
     if name in _STRUCTS:
         return _STRUCTS[name]
     if name.startswith(("v:", "vector:")):
-        return hull.vector(int(name.split(":", 1)[1]))
+        return hull.vector(read_int(name.split(":", 1)[1], "the D of v:D"))
     raise _Usage(f"unknown structure {name!r}; use q, n or v:D")
 
 
@@ -197,18 +204,12 @@ def _cmd_hull(rest):
         return _ok("hull", "true" if result else "false",
                    subcommand="approachable", value=result)
     if sub == "limit":
-        slope = _take_flag(rest, "--slope")
-        intercept = _take_flag(rest, "--intercept")
-        start = _take_flag(rest, "--start")
-        check = _take_flag(rest, "--check-depth")
+        modulus = hull.Modulus(_int_flag(rest, "--slope", 1), _int_flag(rest, "--intercept", 1))
+        start = _int_flag(rest, "--start", 0)
+        check = _int_flag(rest, "--check-depth", 8)
         family = germ.parse_family(_one_arg(rest, "family expression"))
-        seq = hull.HullSequence(
-            hull.RATIONALS,
-            family,
-            hull.Modulus(int(slope) if slope else 1, int(intercept) if intercept else 1),
-            start=int(start) if start else 0,
-        )
-        p = hull.hull_limit(seq, check_depth=int(check) if check else 8)
+        seq = hull.HullSequence(hull.RATIONALS, family, modulus, start=start)
+        p = hull.hull_limit(seq, check_depth=check)
         return _ok("hull", str(p), subcommand="limit", value=str(p))
     raise _Usage(f"unknown hull subcommand {sub!r}")
 
@@ -227,8 +228,8 @@ def _cmd_ext(rest):
 def _cmd_oracle(rest):
     rest = list(rest)
     model_file = _take_flag(rest, "--model")
-    sizes = {flag: _take_flag(rest, flag) for flag in ("--index-size", "--carrier-size")}
-    depth = int(_take_flag(rest, "--depth") or 2)
+    sizes = {flag: _int_flag(rest, flag) for flag in ("--index-size", "--carrier-size")}
+    depth = _int_flag(rest, "--depth", 2)
     if rest:
         raise _Usage(f"unexpected arguments: {' '.join(rest)}")
     if model_file is not None:
@@ -243,7 +244,7 @@ def _cmd_oracle(rest):
         text = (f"model: {len(base.carrier)} elements, index {len(index.elements)}, "
                 f"{report.checks} checks, {len(report.mismatches)} mismatches: ")
     else:
-        index_size, carrier_size = (int(value or 3) for value in sizes.values())
+        index_size, carrier_size = (3 if value is None else value for value in sizes.values())
         sweeps = {"los": finmodel.los_sweep(index_size, carrier_size, depth),
                   "psi": finmodel.psi_sweep(index_size, carrier_size)}
         ok = all(r.ok for r in sweeps.values())

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the integer reader that raises them."""
 
 
 class EngineError(ValueError):
@@ -47,3 +47,13 @@ class OutOfAlgebraError(EngineError):
 
 class LimitUndecidableError(EngineError):
     """No exact closed form for the requested limit could be established."""
+
+
+def read_int(text: str, what: str, error=EngineError) -> int:
+    """``text`` as an integer: an optional ``-`` and ASCII digits only
+    (``int`` would also take spaces, ``+``, ``_`` and other scripts'
+    digits).  Anything else raises ``error`` naming ``what``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise error(f"{what} needs an integer, not {text!r}")
+    return int(text)

@@ -23,18 +23,20 @@ for all lanes at once: the lanes are split by their pointwise truth
 set, and each set that occurs is looked up in the ultrafilter.  Each
 check is still one relation's three-way comparison; only the
 bookkeeping is shared.  ``model_sweep`` runs the same check with a
-single lane, and ``evaluate`` and ``los_check`` remain the one-relation
-reference.
+single lane.  ``evaluate`` is the one-lane case of the same truth walk,
+and ``los_check`` remains the one-relation reference: it decides classes
+through ``class_of`` and largeness through the ultrafilter's members.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EngineError
+from .errors import EngineError, read_int
 
 # Input caps.  A quotient enumerates carrier^index functions and decides
 # the 2^index subsets of its index; a model's truth tables cost about
@@ -170,29 +172,57 @@ def free_variables(f, bound=frozenset()):
     raise EngineError(f"malformed formula: {f!r}")
 
 
-def evaluate(structure: Structure, f, env) -> bool:
-    """Truth of a formula in a finite structure under an assignment."""
+class _Lanes:
+    """Structures that share a carrier and unary relations (``shape``)
+    and differ in membership: ``member[a, b]`` is the mask of the lanes
+    (bits of ``full``) whose relation holds a in b.  A plain class, as a
+    dataclass costs about a millisecond at import."""
+
+    __slots__ = ("shape", "member", "full")
+
+    def __init__(self, shape: Structure, member: dict, full: int):
+        self.shape, self.member, self.full = shape, member, full
+
+
+def _one_lane(s: Structure) -> _Lanes:
+    """One structure as a single lane."""
+    member = {(a, b): int((a, b) in s.membership) for a in s.carrier for b in s.carrier}
+    return _Lanes(s, member, 1)
+
+
+def _lane_truth(s: _Lanes, f, env) -> int:
+    """The mask of lanes where the formula holds under the assignment
+    ``env`` of carrier elements to variables: the one truth walk of the
+    formula language, in every lane at once."""
     if isinstance(f, In):
-        return (env[f.left], env[f.right]) in structure.membership
+        return s.member[env[f.left], env[f.right]]
     if isinstance(f, Eq):
-        return env[f.left] == env[f.right]
+        return s.full if env[f.left] == env[f.right] else 0
     if isinstance(f, Has):
-        return env[f.var] in structure.unary_rel(f.relation)
+        return s.full if env[f.var] in s.shape.unary_rel(f.relation) else 0
     if isinstance(f, Not):
-        return not evaluate(structure, f.child, env)
+        return s.full ^ _lane_truth(s, f.child, env)
     if isinstance(f, And):
-        return evaluate(structure, f.left, env) and evaluate(structure, f.right, env)
+        return _lane_truth(s, f.left, env) & _lane_truth(s, f.right, env)
     if isinstance(f, Or):
-        return evaluate(structure, f.left, env) or evaluate(structure, f.right, env)
+        return _lane_truth(s, f.left, env) | _lane_truth(s, f.right, env)
     if isinstance(f, Forall):
-        return all(
-            evaluate(structure, f.body, {**env, f.var: e}) for e in structure.carrier
-        )
+        out = s.full
+        for e in s.shape.carrier:
+            out &= _lane_truth(s, f.body, {**env, f.var: e})
+        return out
     if isinstance(f, Exists):
-        return any(
-            evaluate(structure, f.body, {**env, f.var: e}) for e in structure.carrier
-        )
+        out = 0
+        for e in s.shape.carrier:
+            out |= _lane_truth(s, f.body, {**env, f.var: e})
+        return out
     raise EngineError(f"malformed formula: {f!r}")
+
+
+def evaluate(structure: Structure, f, env) -> bool:
+    """Truth of a formula in a finite structure under an assignment
+    ``env`` of carrier elements to variables: one lane of the walk."""
+    return _lane_truth(_one_lane(structure), f, env) == 1
 
 
 # -- the ultrapower quotient ----------------------------------------------
@@ -214,24 +244,6 @@ class FinUltrapower:
 
     def representative(self, ci: int):
         return min(self.classes[ci])
-
-
-class _Lanes:
-    """Structures that share a carrier and unary relations (``shape``)
-    and differ in membership: ``member[a, b]`` is the mask of the lanes
-    (bits of ``full``) whose relation holds a in b.  A plain class, as a
-    dataclass costs about a millisecond at import."""
-
-    __slots__ = ("shape", "member", "full")
-
-    def __init__(self, shape: Structure, member: dict, full: int):
-        self.shape, self.member, self.full = shape, member, full
-
-
-def _one_lane(s: Structure) -> _Lanes:
-    """One structure as a single lane."""
-    member = {(a, b): int((a, b) in s.membership) for a in s.carrier for b in s.carrier}
-    return _Lanes(s, member, 1)
 
 
 def _member_codes(uf: PrincipalUltrafilter) -> frozenset:
@@ -372,13 +384,11 @@ def los_check(up: FinUltrapower, formula, params, max_depth: Optional[int] = Non
     quo_env = {v: up.class_of[tuple(fn)] for v, fn in params.items()}
     quotient_truth = evaluate(up.quotient, formula, quo_env)
 
-    positions = {e: p for p, e in enumerate(up.index.elements)}
+    base = _one_lane(up.base)
     truth_set = frozenset(
         i
-        for i in up.index.elements
-        if evaluate(
-            up.base, formula, {v: fn[positions[i]] for v, fn in params.items()}
-        )
+        for p, i in enumerate(up.index.elements)
+        if _lane_truth(base, formula, {v: fn[p] for v, fn in params.items()})
     )
     large = truth_set in up.ultrafilter.members
     return LosReport(quotient_truth, truth_set, large, quotient_truth == large)
@@ -440,34 +450,6 @@ def gen_formulas(max_depth: int = 2):
     return out
 
 
-def _lane_truth(s: _Lanes, f, env) -> int:
-    """``evaluate`` in every lane at once: the mask of lanes where the
-    formula holds under the assignment."""
-    if isinstance(f, In):
-        return s.member[env[f.left], env[f.right]]
-    if isinstance(f, Eq):
-        return s.full if env[f.left] == env[f.right] else 0
-    if isinstance(f, Has):
-        return s.full if env[f.var] in s.shape.unary_rel(f.relation) else 0
-    if isinstance(f, Not):
-        return s.full ^ _lane_truth(s, f.child, env)
-    if isinstance(f, And):
-        return _lane_truth(s, f.left, env) & _lane_truth(s, f.right, env)
-    if isinstance(f, Or):
-        return _lane_truth(s, f.left, env) | _lane_truth(s, f.right, env)
-    if isinstance(f, Forall):
-        out = s.full
-        for e in s.shape.carrier:
-            out &= _lane_truth(s, f.body, {**env, f.var: e})
-        return out
-    if isinstance(f, Exists):
-        out = 0
-        for e in s.shape.carrier:
-            out |= _lane_truth(s, f.body, {**env, f.var: e})
-        return out
-    raise EngineError(f"malformed formula: {f!r}")
-
-
 def _param_functions(c: int, m: int, w_pos: int):
     """For every carrier value: its constant function and one varied
     function that still takes that value at w."""
@@ -492,18 +474,21 @@ class SweepReport:
         return not self.mismatches
 
 
-def _los_lanes(up: FinUltrapower, base: _Lanes, quotient: _Lanes, formulas,
-               report: SweepReport, structure_of) -> None:
+def _los_lanes(up: FinUltrapower, base: _Lanes, formulas, report: SweepReport,
+               structure_of) -> None:
     """The Los check in every lane, for every formula of the pool and
     every pair of structured parameter functions: quotient truth,
     largeness of the pointwise truth set and truth at w must agree.
-    ``up`` gives the classes and the ultrafilter, ``base`` and
-    ``quotient`` the lanes' relations, and ``structure_of(lane)`` the
-    base structure that a mismatch names."""
+    ``up`` gives the classes and the ultrafilter, ``base`` the lanes'
+    relations, and ``structure_of(lane)`` the base structure that a
+    mismatch names.  The quotient's lanes are decided here, from one
+    representative per class."""
     elements, full = up.index.elements, base.full
     m, lanes = len(elements), base.full.bit_length()
     w_pos = elements.index(up.index.w)
     codes = _member_codes(up.ultrafilter)
+    reps = [up.representative(ci) for ci in range(len(up.classes))]
+    quotient = _Lanes(up.quotient, _quotient_membership(codes, reps, base.member, full), full)
     params = []  # (function, class id)
     for f in _param_functions(len(base.shape.carrier), m, w_pos):
         fn = tuple(base.shape.carrier[v] for v in f)
@@ -569,11 +554,7 @@ def los_sweep(max_index: int = 3, max_carrier: int = 3, max_depth: int = 2) -> S
             for w_pos in range(m):
                 # the classes, from the quotient of any relation on the carrier
                 up = ultrapower_quotient(shape, FinIndex(tuple(range(m)), w_pos))
-                reps = [up.representative(ci) for ci in range(len(up.classes))]
-                codes = _member_codes(up.ultrafilter)
-                quotient = _Lanes(
-                    up.quotient, _quotient_membership(codes, reps, member, base.full), base.full)
-                _los_lanes(up, base, quotient, formulas, report, structure_of)
+                _los_lanes(up, base, formulas, report, structure_of)
     return report
 
 
@@ -586,7 +567,7 @@ def model_sweep(base: Structure, index: FinIndex, max_depth: int = 2) -> SweepRe
     formulas = gen_formulas(max_depth)
     up = ultrapower_quotient(base, index)
     report = SweepReport(mismatches=list(check_at_w(up)))
-    _los_lanes(up, _one_lane(base), _one_lane(up.quotient), formulas, report, lambda lane: base)
+    _los_lanes(up, _one_lane(base), formulas, report, lambda lane: base)
     return report
 
 
@@ -640,6 +621,9 @@ def parse_model(text: str):
         key, _, value = line.partition(":")
         key, parts = key.strip(), value.split()
         if key == "carrier":
+            repeated = [a for a, n in Counter(parts).items() if n > 1]
+            if repeated:
+                raise EngineError(f"carrier atom {repeated[0]!r} is repeated")
             carrier = tuple(parts)
         elif key == "member":
             if len(parts) != 2:
@@ -649,10 +633,13 @@ def parse_model(text: str):
             if len(parts) < 1:
                 raise EngineError("unary lines need a relation name")
             unary.setdefault(parts[0], set()).update(parts[1:])
-        elif key == "index":
-            index_size = int(parts[0])
-        elif key == "w":
-            w = parts[0]
+        elif key in ("index", "w"):
+            if len(parts) != 1:
+                raise EngineError(f"model key {key!r} needs exactly one value")
+            if key == "w":
+                w = parts[0]
+            else:
+                index_size = read_int(parts[0], "model key 'index'")
         else:
             raise EngineError(f"unknown model key {key!r}")
     if carrier is None or index_size is None or w is None:

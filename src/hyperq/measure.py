@@ -42,6 +42,7 @@ from .errors import (
     ModeViolationError,
     NotDisjointError,
     OutOfAlgebraError,
+    read_int,
 )
 from .extnum import ZERO_N, ExternalNumber, extnum_order
 from .germ import Germ
@@ -544,9 +545,9 @@ def parse_sigma_file(text: str):
                 raise EngineError(f"unknown mode {value!r}")
             mode = value
         elif key == "start":
-            start = int(value)
+            start = read_int(value, "sigma key 'start'")
         elif key == "depth":
-            depth = int(value)
+            depth = read_int(value, "sigma key 'depth'")
         elif key == "piece":
             node = E.parse(value, "kset")
             if not isinstance(node, E.Interval):

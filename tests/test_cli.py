@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import hyperq
 from helpers import empty_quotient_membership, forbid_quotients
 from hyperq import exprlang, finmodel
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
@@ -13,6 +14,7 @@ from hyperq.germ import MAX_EXPONENT
 from hyperq.hull import MAX_CHECK_DEPTH
 
 
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hyperq.__file__)))
 FAMILY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "family.sigma")
 
 
@@ -135,6 +137,14 @@ def test_main_json_output(capsys):
     assert record == {"command": "classify", "status": "ok", "value": "unlimited-positive"}
 
 
+def _env_with_package():
+    """The environment with the package root first on PYTHONPATH, so that
+    a subprocess imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_repl_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "hyperq.cli", "repl"],
@@ -142,6 +152,7 @@ def test_repl_smoke():
         capture_output=True,
         text=True,
         timeout=60,
+        env=_env_with_package(),
     )
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "2"
@@ -156,6 +167,7 @@ def test_repl_recovers_from_errors():
         capture_output=True,
         text=True,
         timeout=60,
+        env=_env_with_package(),
     )
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("error:")
@@ -369,3 +381,39 @@ def test_non_ascii_digits_are_parse_errors(expr, char):
     r = run("eval", expr)
     assert r.exit_code == PARSE
     assert r.text.startswith(f"error: unexpected character {char!r}")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["oracle", "--depth", "abc"], "--depth", "abc"),
+    (["oracle", "--depth", ""], "--depth", ""),
+    (["oracle", "--index-size", "\u0663"], "--index-size", "\u0663"),
+    (["oracle", "--carrier-size", "+2"], "--carrier-size", "+2"),
+    (["measure", "--sigma", FAMILY, "--depth", " 3"], "--depth", " 3"),
+    (["hull", "limit", "k/(k+1)", "--slope", "x"], "--slope", "x"),
+    (["hull", "limit", "k/(k+1)", "--intercept", "1.0"], "--intercept", "1.0"),
+    (["hull", "limit", "k/(k+1)", "--start", "1_0"], "--start", "1_0"),
+    (["hull", "limit", "k/(k+1)", "--check-depth", "--3"], "--check-depth", "--3"),
+], ids=["depth-word", "depth-empty", "index-arabic-indic", "carrier-plus", "sigma-depth-space",
+        "slope", "intercept", "start", "check-depth"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    # a value int() would reject, or would take although it is no ASCII integer
+    message = f"{flag} needs an integer, not {value!r}"
+    r = run(*argv)
+    assert r.exit_code == USAGE and r.text == f"error: {message}"
+    assert main(["--json", *argv]) == USAGE
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["error"] == message
+
+
+def test_integer_flags_still_take_signed_ascii_integers():
+    assert run("oracle", "--depth", "-3").exit_code == DOMAIN
+    r = run("hull", "limit", "k/(k+1)", "--start", "-0", "--check-depth", "4")
+    assert r.exit_code == OK and r.text == "1"
+
+
+@pytest.mark.parametrize("dimension", ["abc", "\u0663", ""])
+def test_vector_dimension_that_is_no_integer_is_named(dimension):
+    # a domain error, not a usage error: exit 4 is what the benchmark expects of v:x
+    r = run("hull", "point", f"v:{dimension}", "1")
+    assert r.exit_code == DOMAIN
+    assert r.text == f"error: the D of v:D needs an integer, not {dimension!r}"

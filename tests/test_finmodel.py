@@ -1,6 +1,7 @@
 import itertools
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,19 @@ def test_parse_model_errors():
         F.parse_model("carrier: 0 1\nmember: 0 5\nindex: 2\nw: 0\n")
     with pytest.raises(EngineError):
         F.parse_model("carrier: 0\nindex: 2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("carrier: 0 1\nindex:\nw: 1\n", "model key 'index' needs exactly one value"),
+    ("carrier: 0 1\nindex: 3 4\nw: 1\n", "model key 'index' needs exactly one value"),
+    ("carrier: 0 1\nindex: 3\nw:\n", "model key 'w' needs exactly one value"),
+    ("carrier: 0 1\nindex: x\nw: 1\n", "model key 'index' needs an integer, not 'x'"),
+    ("carrier: 0 1\nindex: \u0663\nw: 1\n", "model key 'index' needs an integer, not '\u0663'"),
+    ("carrier: a b a\nindex: 2\nw: 1\n", "carrier atom 'a' is repeated"),
+], ids=["no-index", "two-indexes", "no-w", "index-word", "index-arabic-indic", "repeated-atom"])
+def test_parse_model_refuses_bad_values(text, message):
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        F.parse_model(text)
 
 
 def test_model_sweep_checks_one_model():
@@ -472,3 +486,75 @@ def test_model_sweep_refuses_depths_outside_the_pool(monkeypatch, max_depth):
     forbid_quotients(monkeypatch)
     with pytest.raises(EngineError, match=f"formula depth {max_depth} is outside"):
         F.model_sweep(base, index, max_depth)
+
+
+# -- the truth walk ------------------------------------------------------------
+
+
+def _evaluate_by_walk(structure, f, env):
+    """Truth decided by a boolean walk of the formula over one
+    structure: the reference for evaluate."""
+    if isinstance(f, F.In):
+        return (env[f.left], env[f.right]) in structure.membership
+    if isinstance(f, F.Eq):
+        return env[f.left] == env[f.right]
+    if isinstance(f, F.Has):
+        return env[f.var] in structure.unary_rel(f.relation)
+    if isinstance(f, F.Not):
+        return not _evaluate_by_walk(structure, f.child, env)
+    if isinstance(f, F.And):
+        return _evaluate_by_walk(structure, f.left, env) and _evaluate_by_walk(structure, f.right, env)
+    if isinstance(f, F.Or):
+        return _evaluate_by_walk(structure, f.left, env) or _evaluate_by_walk(structure, f.right, env)
+    if isinstance(f, F.Forall):
+        return all(_evaluate_by_walk(structure, f.body, {**env, f.var: e}) for e in structure.carrier)
+    if isinstance(f, F.Exists):
+        return any(_evaluate_by_walk(structure, f.body, {**env, f.var: e}) for e in structure.carrier)
+    raise EngineError(f"malformed formula: {f!r}")
+
+
+# negated quantifiers, nested quantifiers that rebind a free variable,
+# and And/Or at depth 3 and more; then the same with Has
+HAND_BUILT = [
+    F.Not(F.Forall("z", F.In("z", "x"))),
+    F.And(F.Or(F.In("x", "y"), F.Not(F.Eq("x", "y"))),
+          F.Forall("z", F.Or(F.In("z", "z"), F.Not(F.In("x", "z"))))),
+    F.Forall("z", F.Exists("x", F.And(F.In("x", "z"), F.Not(F.Eq("x", "z"))))),
+]
+HAND_BUILT_MARKED = [
+    F.Has("mark", "x"),
+    F.Not(F.Has("mark", "y")),
+    F.Not(F.Exists("z", F.And(F.In("z", "x"), F.Has("mark", "z")))),
+    F.Or(F.And(F.Exists("z", F.In("z", "y")), F.Not(F.In("y", "x"))),
+         F.And(F.Eq("x", "x"), F.Not(F.Or(F.In("x", "x"), F.Has("mark", "x"))))),
+    F.Exists("z", F.And(F.Has("mark", "z"), F.Forall("x", F.Not(F.In("x", "z"))))),
+]
+
+
+def _walk_structures():
+    """Every relation on carriers 1 and 2, without a unary relation and
+    with each subset as the unary relation "mark", and the toy model."""
+    for base in _sweep_bases(2):
+        yield base
+        for r in range(len(base.carrier) + 1):
+            for marked in itertools.combinations(base.carrier, r):
+                yield F.Structure(base.carrier, base.membership, (("mark", frozenset(marked)),))
+    yield F.parse_model((Path(__file__).parent / "golden" / "toy.model").read_text())[0]
+
+
+def test_evaluate_matches_the_boolean_walk():
+    pool = F.gen_formulas(2) + HAND_BUILT
+    assert {type(f) for f in pool + HAND_BUILT_MARKED} == {
+        F.In, F.Eq, F.Has, F.Not, F.And, F.Or, F.Forall, F.Exists}
+    assert max(map(F.formula_depth, HAND_BUILT + HAND_BUILT_MARKED)) >= 5
+    truths = Counter()
+    for s in _walk_structures():
+        for f in pool + (HAND_BUILT_MARKED if s.unary else []):
+            for x, y in itertools.product(s.carrier, repeat=2):
+                env = {"x": x, "y": y}
+                expected = _evaluate_by_walk(s, f, env)
+                assert F.evaluate(s, f, env) is expected, (s, f, env)
+                truths[f, expected] += 1
+    # every hand-built formula is true somewhere and false somewhere
+    for f in HAND_BUILT + HAND_BUILT_MARKED:
+        assert truths[f, True] and truths[f, False], f

@@ -81,6 +81,24 @@ CASES = [
     ["eval", "\u0663+w"],
     ["eval", "\u00b2"],
     ["oracle", "--model", "{golden}/toy.model", "--index-size", "100", "--carrier-size", "0"],
+    # model and sigma files with a missing, non-integer or repeated value
+    ["oracle", "--model", "{golden}/no_index.model"],
+    ["oracle", "--model", "{golden}/no_w.model"],
+    ["oracle", "--model", "{golden}/bad_index.model"],
+    ["oracle", "--model", "{golden}/repeated_atom.model"],
+    ["measure", "--sigma", "{golden}/bad_start.sigma"],
+    ["measure", "--sigma", "{golden}/bad_depth.sigma"],
+    # integer flags take an optional - and ASCII digits, nothing else
+    ["oracle", "--depth", "abc"],
+    ["oracle", "--depth", ""],
+    ["oracle", "--index-size", "\u0663"],
+    ["oracle", "--carrier-size", "2.0"],
+    ["measure", "--sigma", "{golden}/family.sigma", "--depth", "x"],
+    ["hull", "limit", "k/(k+1)", "--slope", "x"],
+    ["hull", "limit", "k/(k+1)", "--intercept", " 1"],
+    ["hull", "limit", "k/(k+1)", "--start", "+1"],
+    ["hull", "limit", "k/(k+1)", "--check-depth", "1_0"],
+    ["hull", "point", "v:abc", "1"],
 ]
 
 

@@ -315,6 +315,12 @@ def test_sigma_file_roundtrip(tmp_path):
     assert cert.limit == 1
 
 
+@pytest.mark.parametrize("key, value", [("start", "x"), ("depth", "1.5"), ("depth", "")])
+def test_sigma_file_refuses_values_that_are_no_integer(key, value):
+    with pytest.raises(EngineError, match=f"^sigma key '{key}' needs an integer, not '{value}'$"):
+        M.parse_sigma_file(f"mode: increasing\n{key}: {value}\npiece: [1/k, 1]\n")
+
+
 @pytest.mark.parametrize("family", [
     M.interval_family("1/k", "1", "increasing"), M.dyadic_family(),
 ], ids=["schema", "generator"])
