@@ -4,12 +4,21 @@
 # coefficient (a polynomial in the second variable) of the first
 # variable raised to i.
 #
-# gcd skips Euclid over Q when it can prove two nonzero polynomials
+# The kernels that loop over coefficients (mul, the fused mul_add and
+# cross_sign, divmod_, eval_at, b_eval_first, gcd and the Sturm chain of
+# least_negative) compute over Z: to_ints clears each operand's
+# denominators once, the loops run on Python ints, and from_ints builds
+# each result Fraction once, at the end.  A length-1 factor stays a
+# scale, and a length-1 divisor a scale by its inverse.
+#
+# gcd skips all division when it can prove two nonzero polynomials
 # coprime modulo the prime 2^31 - 1: their integer multiples are reduced
 # mod p, and a constant gcd over GF(p) is a proof whenever p divides
 # neither scaled leading coefficient (Gauss's lemma; see
 # _coprime_mod_prime).  Every other case, a common factor included, runs
-# Euclid over Q, so the result is exact either way.
+# the primitive PRS over Z (Collins 1967; Brown 1971): pseudo-remainders
+# with their content removed, made monic at the end, so the result is
+# exact either way.
 
 import math
 from fractions import Fraction
@@ -57,16 +66,70 @@ def sub(p, q):
     return add(p, neg(q))
 
 
+def to_ints(p):
+    """(cs, m): the integers cs and the least m > 0 with p == cs / m."""
+    m = math.lcm(*(c.denominator for c in p))
+    if m == 1:
+        return [c.numerator for c in p], 1
+    return [c.numerator * (m // c.denominator) for c in p], m
+
+
+def from_ints(cs, m=1):
+    """The polynomial cs / m, one Fraction per coefficient, trimmed."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    if m == 1:
+        return tuple(Fraction(c) for c in cs[:n])
+    return tuple(Fraction(c, m) for c in cs[:n])
+
+
+def _mul_into(out, a, b):
+    # schoolbook: add the product of the integer lists a and b into out
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+
+
 def mul(p, q):
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
+    if len(p) == 1:
+        return scale(q, p[0])
+    if len(q) == 1:
+        return scale(p, q[0])
+    (a, ma), (b, mb) = to_ints(p), to_ints(q)
+    out = [0] * (len(a) + len(b) - 1)
+    _mul_into(out, a, b)
+    return from_ints(out, ma * mb)
+
+
+def _cross(p, q, r, s, sign):
+    """(cs, m) with p*q + sign*r*s == cs / m, summed over Z in one list."""
+    (a, ma), (b, mb), (c, mc), (d, md) = to_ints(p), to_ints(q), to_ints(r), to_ints(s)
+    m = math.lcm(ma * mb, mc * md)
+    ka, kc = m // (ma * mb), sign * (m // (mc * md))
+    if ka != 1:
+        a = [x * ka for x in a]
+    c = [x * kc for x in c]
+    out = [0] * max(len(a) + len(b) - 1, len(c) + len(d) - 1, 0)
+    _mul_into(out, a, b)
+    _mul_into(out, c, d)
+    return out, m
+
+
+def mul_add(p, q, r, s):
+    """p*q + r*s, with one Fraction per coefficient of the sum."""
+    return from_ints(*_cross(p, q, r, s, 1))
+
+
+def cross_sign(p, q, r, s):
+    """The sign of the leading coefficient of p*q - r*s, 0 if it is zero."""
+    for c in reversed(_cross(p, q, r, s, -1)[0]):
+        if c:
+            return 1 if c > 0 else -1
+    return 0
 
 
 def scale(p, c):
@@ -82,20 +145,59 @@ def mul_xk(p, k):
     return (Fraction(0),) * k + p
 
 
+def _pdivmod(a, b):
+    """Divide the integer coefficients a by b, top down, over Z.
+
+    Returns (quo, rem, d): quo[k] = (n, e) holds the quotient's
+    coefficient of x^k as n / e, and the trimmed rem over d is the
+    remainder.  Step k clears the top of a window of deg b + 1
+    coefficients; it multiplies the window by lc(b) / gcd(c, lc(b))
+    only when lc(b) does not divide its top c, so a monic divisor never
+    scales, and coefficients below the window enter it scaled by the
+    running d.
+    """
+    db, lb = len(b) - 1, b[-1]
+    low = b[:-1]
+    top = len(a) - db - 1
+    win = list(a[top:])  # coefficients top .. top + db, d times their value
+    quo = [None] * (top + 1)
+    d = 1
+    for k in range(top, -1, -1):
+        c = win[-1]
+        if c:
+            g = math.gcd(c, lb)
+            if g != abs(lb):
+                s = lb // g
+                win = [x * s for x in win]
+                d *= s
+                c *= s
+            c //= lb
+            for i, y in enumerate(low):
+                win[i] -= c * y
+        quo[k] = (c, d)
+        win.pop()
+        if k:
+            win.insert(0, a[k - 1] * d)
+    while win and not win[-1]:
+        win.pop()
+    return quo, win, d
+
+
 def divmod_(p, q):
-    # schoolbook, top down: step k clears rem[k + dq], so the remainder is rem[:dq]
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    dq, cq = degree(q), lc(q)
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - dq, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + dq]
-        if c:
-            c = quo[k] = c / cq
-            for i in range(dq):
-                rem[k + i] -= c * q[i]
-    return trim(quo), trim(rem[:dq])
+    if len(q) == 1:
+        return scale(p, 1 / q[0]), ZERO
+    if len(p) < len(q):
+        return ZERO, p
+    (a, ma), (b, mb) = to_ints(p), to_ints(q)
+    quo, rem, d = _pdivmod(a, b)
+    # p = (a / ma) and q = (b / mb): scale the quotient by mb / ma and
+    # the remainder by 1 / ma
+    return (
+        tuple(Fraction(n * mb, e * ma) if n else Fraction(0) for n, e in quo),
+        from_ints(rem, d * ma),
+    )
 
 
 def monic(p):
@@ -104,13 +206,27 @@ def monic(p):
     return tuple(c / lc(p) for c in p)
 
 
+def _primitive(cs):
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g != 1 else cs
+
+
 def gcd(p, q):
-    if p and q and _coprime_mod_prime(p, q):
+    if not p or not q:
+        return monic(p or q)
+    if _coprime_mod_prime(p, q):
         return ONE
-    a, b = p, q
-    while b:
-        a, b = b, divmod_(a, b)[1]
-    return monic(a)
+    # primitive PRS: the content of each pseudo-remainder is removed, so
+    # the coefficients stay as small as the gcd's factors allow
+    a, b = _primitive(to_ints(p)[0]), _primitive(to_ints(q)[0])
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _pdivmod(a, b)[1]
+        if not rem:
+            return from_ints(b, b[-1])
+        a, b = b, _primitive(rem)
+    return ONE
 
 
 _PRIME = 2**31 - 1
@@ -128,19 +244,18 @@ def _coprime_mod_prime(p, q):
     """
     residues = []
     for f in (p, q):
-        m = math.lcm(*(c.denominator for c in f))
-        r = [c.numerator * (m // c.denominator) % _PRIME for c in f]
+        r = [c % _PRIME for c in to_ints(f)[0]]
         if not r[-1]:
             return False
         residues.append(r)
     a, b = residues
     while len(b) > 1:
         inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
+        low = [y * inv % _PRIME for y in b[:-1]]  # b made monic, less its top
         for k in range(len(a) - 1, db - 1, -1):  # clear a[k] with b shifted
-            c = a[k] * inv % _PRIME
+            c = a[k]
             if c:
-                for i in range(db):
-                    a[k - db + i] = (a[k - db + i] - c * b[i]) % _PRIME
+                a[k - db : k] = [(x - c * y) % _PRIME for x, y in zip(a[k - db : k], low)]
         a = a[:db]
         while a and not a[-1]:
             a.pop()
@@ -150,12 +265,28 @@ def _coprime_mod_prime(p, q):
     return True
 
 
+def _horner(a, u, v=1):
+    """The sum of a_i u^i v^(n-i) over the integers a, n = len(a) - 1:
+    v^n times the value of a at u / v, by homogeneous Horner."""
+    acc = a[-1]
+    if v == 1:
+        for c in reversed(a[:-1]):
+            acc = acc * u + c
+        return acc
+    w = 1
+    for c in reversed(a[:-1]):
+        w *= v
+        acc = acc * u + c * w
+    return acc
+
+
 def eval_at(p, x):
     x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    if not p:
+        return Fraction(0)
+    a, m = to_ints(p)
+    v = x.denominator
+    return Fraction(_horner(a, x.numerator, v), m * v ** (len(a) - 1))
 
 
 def compose(p, q):
@@ -207,27 +338,36 @@ def least_negative(p, start):
         return tuple(i * c for i, c in enumerate(f))[1:]
 
     # the square-free part has the same real roots, all simple, so its
-    # Sturm chain ends in a nonzero constant and counts roots in (a, b]
-    sq = divmod_(p, gcd(p, deriv(p)))[0]
+    # Sturm chain ends in a nonzero constant and counts roots in (a, b];
+    # only signs are read, so the chain holds positive integer multiples
+    sq = to_ints(divmod_(p, gcd(p, deriv(p)))[0])[0]
     chain = [sq, deriv(sq)]
     while chain[-1]:
-        r = divmod_(chain[-2], chain[-1])[1]
-        chain.append(scale(r, -1 / abs(lc(r))) if r else ZERO)
-    chain.pop()
+        _, r, d = _pdivmod(chain[-2], chain[-1])
+        if not r:
+            break
+        # the next member is minus the remainder r / d
+        chain.append(_primitive([-c for c in r] if d > 0 else r))
+    if not chain[-1]:
+        chain.pop()
+    ints = to_ints(p)[0]
+
+    def negative_at(x):
+        return _horner(ints, x) < 0
 
     def changes(x):
-        signs = [v > 0 for v in (eval_at(f, x) for f in chain) if v]
+        signs = [v > 0 for v in (_horner(f, x) for f in chain) if v]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     ranges = [(start, max(start, int(cauchy_bound(p)) + 1))]
     while ranges:  # leftmost range last, so the first hit is the least
         a, b = ranges.pop()
-        if eval_at(p, a) < 0:
+        if negative_at(a):
             return a
         if a == b:
             continue
         if changes(a) == changes(b):
-            if eval_at(p, b) < 0:
+            if negative_at(b):
                 return a + 1
             continue
         mid = (a + b) // 2
@@ -282,12 +422,20 @@ def b_pow(a, n):
 
 
 def b_eval_first(a, x):
-    # substitute a rational for the first variable
+    # substitute a rational u / v for the first variable: the sum of
+    # a_i u^i v^(n-i) over v^n, over Z for every coefficient at once
     x = Fraction(x)
-    acc = ZERO
-    for p in reversed(a):
-        acc = add(scale(acc, x), p)
-    return acc
+    if not a:
+        return ZERO
+    ints = [to_ints(p) for p in a]
+    m = math.lcm(*(mi for _, mi in ints))
+    u, v, n = x.numerator, x.denominator, len(a) - 1
+    out = [0] * max(len(p) for p in a)
+    for i, (cs, mi) in enumerate(ints):
+        k = m // mi * u**i * v ** (n - i)
+        for j, c in enumerate(cs):
+            out[j] += c * k
+    return from_ints(out, m * v**n)
 
 
 def b_diag(a):

@@ -16,7 +16,6 @@ by exact root counting cut at the monads of their limits.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,7 +232,7 @@ def _direction(g: Germ, start: int) -> int:
     0 constant, +1 rising.  Decided, not sampled: no step g(k+1) - g(k)
     may have the opposite sign of the eventual one, and g may have no
     pole there."""
-    den = P.scale(g.den, math.lcm(*(c.denominator for c in g.den)))
+    den = P.from_ints(P.to_ints(g.den)[0])
     # den has integer values, so den(k)^2 - 1 < 0 exactly where den(k) = 0
     pole = P.least_negative(P.sub(P.mul(den, den), P.ONE), start)
     if pole is not None:

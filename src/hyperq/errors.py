@@ -49,11 +49,20 @@ class LimitUndecidableError(EngineError):
     """No exact closed form for the requested limit could be established."""
 
 
+# CPython's default cap on the digits int() converts from a string.
+MAX_INT_DIGITS = 4300
+
+
 def read_int(text: str, what: str, error=EngineError) -> int:
-    """``text`` as an integer: an optional ``-`` and ASCII digits only
-    (``int`` would also take spaces, ``+``, ``_`` and other scripts'
-    digits).  Anything else raises ``error`` naming ``what``."""
+    """``text`` as an integer: an optional ``-`` and at most
+    MAX_INT_DIGITS ASCII digits (``int`` would also take spaces, ``+``,
+    ``_`` and other scripts' digits, and refuses longer runs with its
+    own message).  Anything else raises ``error`` naming ``what``."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise error(f"{what} needs an integer, not {text!r}")
+    if len(digits) > MAX_INT_DIGITS:
+        raise error(
+            f"{what} needs an integer of at most {MAX_INT_DIGITS} digits, not one of {len(digits)}"
+        )
     return int(text)

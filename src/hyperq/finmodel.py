@@ -604,14 +604,16 @@ def psi_sweep(max_index: int = 3, max_carrier: int = 3) -> SweepReport:
 
 
 def parse_model(text: str):
-    """Model description: ``carrier:`` atoms, ``member: a b`` pairs
-    (read "a in b"), optional ``unary: name atoms...``, ``index: K``
-    and ``w: i``."""
+    """Model description: one ``carrier:`` line of atoms, ``member: a b``
+    pairs (read "a in b"), optional ``unary: name atoms...``, one
+    ``index: K`` and one ``w: i`` line.  ``member:`` and ``unary:``
+    lines may repeat; every atom they name must be in the carrier."""
     carrier = None
     members = set()
     unary = {}
     index_size = None
     w = None
+    seen = set()  # the once-only keys read so far
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -620,6 +622,10 @@ def parse_model(text: str):
             raise EngineError(f"bad model line: {line!r}")
         key, _, value = line.partition(":")
         key, parts = key.strip(), value.split()
+        if key in seen:
+            raise EngineError(f"model key {key!r} appears more than once")
+        if key in ("carrier", "index", "w"):
+            seen.add(key)
         if key == "carrier":
             repeated = [a for a, n in Counter(parts).items() if n > 1]
             if repeated:
@@ -632,7 +638,7 @@ def parse_model(text: str):
         elif key == "unary":
             if len(parts) < 1:
                 raise EngineError("unary lines need a relation name")
-            unary.setdefault(parts[0], set()).update(parts[1:])
+            unary.setdefault(parts[0], []).extend(parts[1:])  # file order, for the message
         elif key in ("index", "w"):
             if len(parts) != 1:
                 raise EngineError(f"model key {key!r} needs exactly one value")
@@ -648,6 +654,10 @@ def parse_model(text: str):
     for a, b in members:
         if a not in carrier or b not in carrier:
             raise EngineError(f"membership pair ({a}, {b}) leaves the carrier")
+    for name, atoms in unary.items():
+        for a in atoms:
+            if a not in carrier:
+                raise EngineError(f"unary atom {a!r} of {name!r} leaves the carrier")
     structure = Structure(
         carrier,
         frozenset(members),

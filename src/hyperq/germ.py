@@ -22,13 +22,17 @@ numerator or denominator is constant needs no gcd, only division by
 the leading coefficient of its denominator.
 
 Most other germs a computation builds are already coprime, and
-``_poly.gcd`` proves that without Euclid over Q: it clears denominators,
-reduces the coefficients modulo the prime 2^31 - 1 and runs Euclid
-there.  A common factor over Q can be taken primitive in Z[x], so its
-leading coefficient divides both scaled leading coefficients; when the
-prime divides neither, the factor keeps its degree modulo the prime,
-and a constant gcd there rules it out.  Any other outcome falls back to
-Euclid over Q, so the canonical form is the same either way.
+``_poly.gcd`` proves that without dividing over Q: it clears
+denominators, reduces the coefficients modulo the prime 2^31 - 1 and
+runs Euclid there.  A common factor over Q can be taken primitive in
+Z[x], so its leading coefficient divides both scaled leading
+coefficients; when the prime divides neither, the factor keeps its
+degree modulo the prime, and a constant gcd there rules it out.  Any
+other outcome falls back to the primitive PRS over Z: pseudo-remainders
+of the integer multiples, each divided by its content, and the last
+nonzero one made monic.  The canonical form is the same either way.
+The polynomial products, divisions and evaluations behind all of this
+run on Python ints too, and build each result ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ class Germ:
         if self.den == other.den:
             return Germ(P.add(self.num, other.num), self.den)
         return Germ(
-            P.add(P.mul(self.num, other.den), P.mul(other.num, self.den)),
+            P.mul_add(self.num, other.den, other.num, self.den),
             P.mul(self.den, other.den),
         )
 
@@ -298,9 +302,8 @@ def compare(a: Germ, b) -> int:
         return (x > y) - (x < y)
     if ad == bd:
         d = P.sub(an, bn)
-    else:
-        d = P.sub(P.mul(an, bd), P.mul(bn, ad))
-    return _sign(P.lc(d)) if d else 0
+        return _sign(P.lc(d)) if d else 0
+    return P.cross_sign(an, bd, bn, ad)
 
 
 def valuation(a: Germ):

@@ -405,6 +405,35 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
     assert record["status"] == "error" and record["error"] == message
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--depth", "9" * 5000], "--depth"),
+    (["oracle", "--index-size", "-" + "1" * 4301], "--index-size"),
+    (["hull", "limit", "k/(k+1)", "--check-depth", "1" * 10**5], "--check-depth"),
+], ids=["depth", "negative-index-size", "check-depth"])
+def test_integer_flags_refuse_more_digits_than_int_reads(capsys, argv, flag):
+    # int() refuses more than 4300 digits with its own message; the flag is named instead
+    digits = len(argv[-1].lstrip("-"))
+    message = f"{flag} needs an integer of at most 4300 digits, not one of {digits}"
+    r = run(*argv)
+    assert r.exit_code == USAGE and r.text == f"error: {message}"
+    assert main(["--json", *argv]) == USAGE
+    assert json.loads(capsys.readouterr().out)["error"] == message
+
+
+def test_integer_flags_take_4300_digits():
+    # the longest accepted value reaches the domain check, not the reader
+    r = run("oracle", "--depth", "9" * 4300)
+    assert r.exit_code == DOMAIN and "Exceeds" not in r.text
+
+
+def test_file_integers_refuse_more_digits_than_int_reads(tmp_path):
+    sigma = tmp_path / "deep.sigma"
+    sigma.write_text(open(FAMILY).read().replace("depth: 10", "depth: " + "7" * 4301))
+    r = run("measure", "--sigma", str(sigma))
+    assert r.exit_code == DOMAIN
+    assert r.text == "error: sigma key 'depth' needs an integer of at most 4300 digits, not one of 4301"
+
+
 def test_integer_flags_still_take_signed_ascii_integers():
     assert run("oracle", "--depth", "-3").exit_code == DOMAIN
     r = run("hull", "limit", "k/(k+1)", "--start", "-0", "--check-depth", "4")

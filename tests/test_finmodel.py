@@ -229,10 +229,29 @@ def test_parse_model_errors():
     ("carrier: 0 1\nindex: x\nw: 1\n", "model key 'index' needs an integer, not 'x'"),
     ("carrier: 0 1\nindex: \u0663\nw: 1\n", "model key 'index' needs an integer, not '\u0663'"),
     ("carrier: a b a\nindex: 2\nw: 1\n", "carrier atom 'a' is repeated"),
-], ids=["no-index", "two-indexes", "no-w", "index-word", "index-arabic-indic", "repeated-atom"])
+    ("carrier: 0 1\nunary: mark 7\nindex: 2\nw: 1\n", "unary atom '7' of 'mark' leaves the carrier"),
+    ("carrier: 0 1\nunary: mark 1\nunary: mark 0 2\nindex: 2\nw: 1\n",
+     "unary atom '2' of 'mark' leaves the carrier"),
+    ("carrier: 0 1\ncarrier: 5\nindex: 2\nw: 1\n", "model key 'carrier' appears more than once"),
+    ("carrier: 0 1\nindex: 2\nindex: 2\nw: 1\n", "model key 'index' appears more than once"),
+    ("carrier: 0 1\nindex: 2\nw: 1\nw: 0\n", "model key 'w' appears more than once"),
+    ("carrier: 0 1\nindex: " + "9" * 5000 + "\nw: 1\n",
+     "model key 'index' needs an integer of at most 4300 digits, not one of 5000"),
+], ids=["no-index", "two-indexes", "no-w", "index-word", "index-arabic-indic", "repeated-atom",
+        "unary-atom-outside", "unary-atom-outside-on-a-later-line", "two-carriers", "two-index-lines",
+        "two-w-lines", "index-too-many-digits"])
 def test_parse_model_refuses_bad_values(text, message):
     with pytest.raises(EngineError, match=f"^{message}$"):
         F.parse_model(text)
+
+
+def test_member_and_unary_lines_may_repeat():
+    base, _ = F.parse_model(
+        "carrier: 0 1 2\nmember: 0 1\nmember: 1 2\nunary: mark 0\nunary: mark 2\n"
+        "unary: odd 1\nindex: 2\nw: 1\n"
+    )
+    assert base.membership == frozenset({("0", "1"), ("1", "2")})
+    assert base.unary == (("mark", frozenset({"0", "2"})), ("odd", frozenset({"1"})))
 
 
 def test_model_sweep_checks_one_model():

@@ -339,9 +339,9 @@ def test_exponent_beyond_the_limit_is_refused(n):
 
 @pytest.fixture
 def poly_calls(monkeypatch):
-    """Counts of the calls of _poly.gcd, _poly.mul and _poly.divmod_ from
-    here on."""
-    calls = {"gcd": 0, "mul": 0, "divmod_": 0}
+    """Counts of the calls of _poly.gcd, _poly.mul, _poly.divmod_ and the
+    integer division _poly._pdivmod from here on."""
+    calls = {"gcd": 0, "mul": 0, "divmod_": 0, "_pdivmod": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(P, name)):
             calls[_name] += 1
@@ -397,11 +397,11 @@ def test_coprime_gcd_is_certified_without_division(poly_calls):
                    + (Fraction(rng.randint(1, 9)),)) for _ in range(2))
     assert P.degree(a) == P.degree(b) == 32
     assert P.gcd(a, b) == P.ONE
-    assert poly_calls["divmod_"] == 0
-    # a common factor still reaches Euclid over Q
+    assert poly_calls["divmod_"] == poly_calls["_pdivmod"] == 0
+    # a common factor still reaches the primitive PRS
     f = P.trim((Fraction(1, 3), Fraction(1)))
     assert P.gcd(P.mul(a, f), P.mul(b, f)) == f
-    assert poly_calls["divmod_"] > 0
+    assert poly_calls["_pdivmod"] > 0
 
 
 def test_shadow_of_limited_is_between_bounds():

@@ -81,11 +81,16 @@ CASES = [
     ["eval", "\u0663+w"],
     ["eval", "\u00b2"],
     ["oracle", "--model", "{golden}/toy.model", "--index-size", "100", "--carrier-size", "0"],
-    # model and sigma files with a missing, non-integer or repeated value
+    # model and sigma files with a missing, non-integer or repeated value,
+    # and a model whose unary relation leaves the carrier
     ["oracle", "--model", "{golden}/no_index.model"],
     ["oracle", "--model", "{golden}/no_w.model"],
     ["oracle", "--model", "{golden}/bad_index.model"],
     ["oracle", "--model", "{golden}/repeated_atom.model"],
+    ["oracle", "--model", "{golden}/repeated_carrier.model"],
+    ["oracle", "--model", "{golden}/repeated_index.model"],
+    ["oracle", "--model", "{golden}/repeated_w.model"],
+    ["oracle", "--model", "{golden}/unary_outside.model"],
     ["measure", "--sigma", "{golden}/bad_start.sigma"],
     ["measure", "--sigma", "{golden}/bad_depth.sigma"],
     # integer flags take an optional - and ASCII digits, nothing else
