@@ -1,31 +1,32 @@
-# Internal polynomial helpers. A polynomial is a tuple of Fractions,
+# Internal polynomial helpers. A polynomial is a tuple of Python ints,
 # lowest degree first, with no trailing zeros; () is the zero polynomial.
 # Bivariate polynomials are tuples of univariate ones: entry i is the
 # coefficient (a polynomial in the second variable) of the first
 # variable raised to i.
 #
-# The kernels that loop over coefficients (mul, the fused mul_add and
-# cross_sign, divmod_, eval_at, b_eval_first, gcd and the Sturm chain of
-# least_negative) compute over Z: to_ints clears each operand's
-# denominators once, the loops run on Python ints, and from_ints builds
-# each result Fraction once, at the end.  A length-1 factor stays a
-# scale, and a length-1 divisor a scale by its inverse.
+# Every kernel computes over Z.  Division is pseudo-division: divmod_
+# returns the quotient and remainder of d * p, for a multiplier d > 0
+# that divides a power of the divisor's leading coefficient and is 1
+# for an exact division with an integral quotient.  A germ's rational
+# coefficients live in the ratio of its numerator and denominator (see
+# germ.py), so only eval_at and cauchy_bound, which return rational
+# values, build a Fraction.
 #
-# gcd skips all division when it can prove two nonzero polynomials
-# coprime modulo the prime 2^31 - 1: their integer multiples are reduced
-# mod p, and a constant gcd over GF(p) is a proof whenever p divides
-# neither scaled leading coefficient (Gauss's lemma; see
-# _coprime_mod_prime).  Every other case, a common factor included, runs
-# the primitive PRS over Z (Collins 1967; Brown 1971): pseudo-remainders
-# with their content removed, made monic at the end, so the result is
-# exact either way.
+# gcd returns the gcd that is primitive with a positive leading
+# coefficient, unique among its rational multiples.  It skips all
+# division when it can prove two nonzero polynomials coprime modulo the
+# prime 2^31 - 1: a constant gcd over GF(p) is a proof whenever p
+# divides neither leading coefficient (see _coprime_mod_prime).  Every
+# other case, a common factor included, runs the primitive PRS (Collins
+# 1967; Brown 1971): pseudo-remainders with their content removed, so
+# the result is exact either way.
 
 import math
 from fractions import Fraction
 
 ZERO = ()
-ONE = (Fraction(1),)
-VAR = (Fraction(0), Fraction(1))
+ONE = (1,)
+VAR = (0, 1)
 
 
 def trim(coeffs):
@@ -35,9 +36,8 @@ def trim(coeffs):
     return tuple(cs)
 
 
-def const(q):
-    q = Fraction(q)
-    return (q,) if q != 0 else ZERO
+def const(c):
+    return (c,) if c else ZERO
 
 
 def degree(p):
@@ -66,26 +66,8 @@ def sub(p, q):
     return add(p, neg(q))
 
 
-def to_ints(p):
-    """(cs, m): the integers cs and the least m > 0 with p == cs / m."""
-    m = math.lcm(*(c.denominator for c in p))
-    if m == 1:
-        return [c.numerator for c in p], 1
-    return [c.numerator * (m // c.denominator) for c in p], m
-
-
-def from_ints(cs, m=1):
-    """The polynomial cs / m, one Fraction per coefficient, trimmed."""
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    if m == 1:
-        return tuple(Fraction(c) for c in cs[:n])
-    return tuple(Fraction(c, m) for c in cs[:n])
-
-
 def _mul_into(out, a, b):
-    # schoolbook: add the product of the integer lists a and b into out
+    # schoolbook: add the product of a and b into the list out
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
@@ -99,42 +81,27 @@ def mul(p, q):
         return scale(q, p[0])
     if len(q) == 1:
         return scale(p, q[0])
-    (a, ma), (b, mb) = to_ints(p), to_ints(q)
-    out = [0] * (len(a) + len(b) - 1)
-    _mul_into(out, a, b)
-    return from_ints(out, ma * mb)
-
-
-def _cross(p, q, r, s, sign):
-    """(cs, m) with p*q + sign*r*s == cs / m, summed over Z in one list."""
-    (a, ma), (b, mb), (c, mc), (d, md) = to_ints(p), to_ints(q), to_ints(r), to_ints(s)
-    m = math.lcm(ma * mb, mc * md)
-    ka, kc = m // (ma * mb), sign * (m // (mc * md))
-    if ka != 1:
-        a = [x * ka for x in a]
-    c = [x * kc for x in c]
-    out = [0] * max(len(a) + len(b) - 1, len(c) + len(d) - 1, 0)
-    _mul_into(out, a, b)
-    _mul_into(out, c, d)
-    return out, m
+    out = [0] * (len(p) + len(q) - 1)
+    _mul_into(out, p, q)
+    return tuple(out)
 
 
 def mul_add(p, q, r, s):
-    """p*q + r*s, with one Fraction per coefficient of the sum."""
-    return from_ints(*_cross(p, q, r, s, 1))
+    """p*q + r*s, summed in one list."""
+    out = [0] * max(len(p) + len(q) - 1, len(r) + len(s) - 1, 0)
+    _mul_into(out, p, q)
+    _mul_into(out, r, s)
+    return trim(out)
 
 
 def cross_sign(p, q, r, s):
     """The sign of the leading coefficient of p*q - r*s, 0 if it is zero."""
-    for c in reversed(_cross(p, q, r, s, -1)[0]):
-        if c:
-            return 1 if c > 0 else -1
-    return 0
+    d = mul_add(p, q, neg(r), s)
+    return (d[-1] > 0) - (d[-1] < 0) if d else 0
 
 
 def scale(p, c):
-    c = Fraction(c)
-    if c == 0:
+    if not c:
         return ZERO
     return tuple(a * c for a in p)
 
@@ -142,32 +109,35 @@ def scale(p, c):
 def mul_xk(p, k):
     if not p:
         return ZERO
-    return (Fraction(0),) * k + p
+    return (0,) * k + p
 
 
-def _pdivmod(a, b):
-    """Divide the integer coefficients a by b, top down, over Z.
+def divmod_(p, q):
+    """(quo, rem, d): d * p == quo * q + rem, deg rem < deg q, d > 0.
 
-    Returns (quo, rem, d): quo[k] = (n, e) holds the quotient's
-    coefficient of x^k as n / e, and the trimmed rem over d is the
-    remainder.  Step k clears the top of a window of deg b + 1
-    coefficients; it multiplies the window by lc(b) / gcd(c, lc(b))
-    only when lc(b) does not divide its top c, so a monic divisor never
-    scales, and coefficients below the window enter it scaled by the
-    running d.
+    The division runs top down over a window of deg q + 1 coefficients.
+    Step k clears the window's top c; it multiplies the window by
+    |lc(q)| / gcd(c, lc(q)) only when lc(q) does not divide c, so d == 1
+    whenever q divides p with an integral quotient (a primitive q
+    dividing p over Q, by Gauss's lemma), and a monic q never scales.
+    Each quotient coefficient is scaled up to the final d once, at the
+    end.
     """
-    db, lb = len(b) - 1, b[-1]
-    low = b[:-1]
-    top = len(a) - db - 1
-    win = list(a[top:])  # coefficients top .. top + db, d times their value
-    quo = [None] * (top + 1)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lb = len(q) - 1, q[-1]
+    if len(p) <= db:
+        return ZERO, p, 1
+    low = q[:-1]
+    top = len(p) - db - 1
+    win = list(p[top:])  # coefficients top .. top + db, d times their value
+    quo = [None] * (top + 1)  # (c, e): the coefficient is c / e times d
     d = 1
     for k in range(top, -1, -1):
         c = win[-1]
         if c:
-            g = math.gcd(c, lb)
-            if g != abs(lb):
-                s = lb // g
+            s = abs(lb) // math.gcd(c, lb)
+            if s != 1:
                 win = [x * s for x in win]
                 d *= s
                 c *= s
@@ -177,54 +147,32 @@ def _pdivmod(a, b):
         quo[k] = (c, d)
         win.pop()
         if k:
-            win.insert(0, a[k - 1] * d)
-    while win and not win[-1]:
-        win.pop()
-    return quo, win, d
+            win.insert(0, p[k - 1] * d)
+    return tuple(c if e == d else c * (d // e) for c, e in quo), trim(win), d
 
 
-def divmod_(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(q) == 1:
-        return scale(p, 1 / q[0]), ZERO
-    if len(p) < len(q):
-        return ZERO, p
-    (a, ma), (b, mb) = to_ints(p), to_ints(q)
-    quo, rem, d = _pdivmod(a, b)
-    # p = (a / ma) and q = (b / mb): scale the quotient by mb / ma and
-    # the remainder by 1 / ma
-    return (
-        tuple(Fraction(n * mb, e * ma) if n else Fraction(0) for n, e in quo),
-        from_ints(rem, d * ma),
-    )
-
-
-def monic(p):
-    if not p:
-        return ZERO
-    return tuple(c / lc(p) for c in p)
-
-
-def _primitive(cs):
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g != 1 else cs
+def _primitive(p, sign=1):
+    """sign * p divided by its content, which is positive."""
+    g = sign * math.gcd(*p)
+    return tuple(c // g for c in p) if g != 1 else tuple(p)
 
 
 def gcd(p, q):
+    """The primitive gcd, with a positive leading coefficient; () for two zeros."""
     if not p or not q:
-        return monic(p or q)
+        p = p or q
+        return _primitive(p, 1 if p[-1] > 0 else -1) if p else ZERO
     if _coprime_mod_prime(p, q):
         return ONE
     # primitive PRS: the content of each pseudo-remainder is removed, so
     # the coefficients stay as small as the gcd's factors allow
-    a, b = _primitive(to_ints(p)[0]), _primitive(to_ints(q)[0])
+    a, b = _primitive(p), _primitive(q)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        rem = _pdivmod(a, b)[1]
+        rem = divmod_(a, b)[1]
         if not rem:
-            return from_ints(b, b[-1])
+            return b if b[-1] > 0 else neg(b)
         a, b = b, _primitive(rem)
     return ONE
 
@@ -234,17 +182,17 @@ _PRIME = 2**31 - 1
 
 def _coprime_mod_prime(p, q):
     """True only if nonzero p and q are coprime over Q, decided by Euclid
-    over GF(_PRIME) on their integer multiples; False leaves it open.
+    over GF(_PRIME); False leaves it open.
 
     A common factor over Q can be taken primitive in Z[x], and it then
-    divides both integer multiples (Gauss), so its leading coefficient
-    divides theirs.  If the prime divides neither, the factor keeps its
-    degree mod the prime and divides the gcd there: a constant gcd mod
-    the prime leaves it no degree.
+    divides both (Gauss), so its leading coefficient divides theirs.  If
+    the prime divides neither, the factor keeps its degree mod the
+    prime and divides the gcd there: a constant gcd mod the prime
+    leaves it no degree.
     """
     residues = []
     for f in (p, q):
-        r = [c % _PRIME for c in to_ints(f)[0]]
+        r = [c % _PRIME for c in f]
         if not r[-1]:
             return False
         residues.append(r)
@@ -266,8 +214,10 @@ def _coprime_mod_prime(p, q):
 
 
 def _horner(a, u, v=1):
-    """The sum of a_i u^i v^(n-i) over the integers a, n = len(a) - 1:
-    v^n times the value of a at u / v, by homogeneous Horner."""
+    """The sum of a_i u^i v^(n-i), n = len(a) - 1: v^n times the value
+    of a at u / v, by homogeneous Horner; 0 for the zero polynomial."""
+    if not a:
+        return 0
     acc = a[-1]
     if v == 1:
         for c in reversed(a[:-1]):
@@ -281,12 +231,8 @@ def _horner(a, u, v=1):
 
 
 def eval_at(p, x):
-    x = Fraction(x)
-    if not p:
-        return Fraction(0)
-    a, m = to_ints(p)
     v = x.denominator
-    return Fraction(_horner(a, x.numerator, v), m * v ** (len(a) - 1))
+    return Fraction(_horner(p, x.numerator, v), v ** max(len(p) - 1, 0))
 
 
 def compose(p, q):
@@ -317,9 +263,8 @@ def cauchy_bound(p):
     # All real roots of p lie in [-B, B]; 0 for (near-)constant p.
     if degree(p) <= 0:
         return Fraction(0)
-    top = abs(lc(p))
     worst = max(abs(c) for c in p[:-1])
-    return 1 + worst / top
+    return 1 + Fraction(worst, abs(lc(p)))
 
 
 def least_negative(p, start):
@@ -340,20 +285,20 @@ def least_negative(p, start):
     # the square-free part has the same real roots, all simple, so its
     # Sturm chain ends in a nonzero constant and counts roots in (a, b];
     # only signs are read, so the chain holds positive integer multiples
-    sq = to_ints(divmod_(p, gcd(p, deriv(p)))[0])[0]
+    # (the quotient by a primitive gcd is integral)
+    sq = divmod_(p, gcd(p, deriv(p)))[0]
     chain = [sq, deriv(sq)]
     while chain[-1]:
-        _, r, d = _pdivmod(chain[-2], chain[-1])
+        r = divmod_(chain[-2], chain[-1])[1]
         if not r:
             break
-        # the next member is minus the remainder r / d
-        chain.append(_primitive([-c for c in r] if d > 0 else r))
+        # the next member is minus the remainder
+        chain.append(_primitive(r, -1))
     if not chain[-1]:
         chain.pop()
-    ints = to_ints(p)[0]
 
     def negative_at(x):
-        return _horner(ints, x) < 0
+        return _horner(p, x) < 0
 
     def changes(x):
         signs = [v > 0 for v in (_horner(f, x) for f in chain) if v]
@@ -386,6 +331,11 @@ def b_trim(polys):
     while ps and ps[-1] == ZERO:
         ps.pop()
     return tuple(ps)
+
+
+def b_degree(a):
+    # the total degree; -1 for the zero polynomial
+    return max((i + len(p) - 1 for i, p in enumerate(a) if p), default=-1)
 
 
 def b_const(p):
@@ -422,20 +372,17 @@ def b_pow(a, n):
 
 
 def b_eval_first(a, x):
-    # substitute a rational u / v for the first variable: the sum of
-    # a_i u^i v^(n-i) over v^n, over Z for every coefficient at once
-    x = Fraction(x)
+    # substitute a rational u / v for the first variable: v^n times the
+    # value, the sum of a_i u^i v^(n-i) with n = len(a) - 1
     if not a:
         return ZERO
-    ints = [to_ints(p) for p in a]
-    m = math.lcm(*(mi for _, mi in ints))
     u, v, n = x.numerator, x.denominator, len(a) - 1
-    out = [0] * max(len(p) for p in a)
-    for i, (cs, mi) in enumerate(ints):
-        k = m // mi * u**i * v ** (n - i)
-        for j, c in enumerate(cs):
+    out = [0] * max(map(len, a))
+    for i, p in enumerate(a):
+        k = u**i * v ** (n - i)
+        for j, c in enumerate(p):
             out[j] += c * k
-    return from_ints(out, m * v**n)
+    return trim(out)
 
 
 def b_diag(a):

@@ -216,12 +216,13 @@ def _cmd_hull(rest):
 
 def _cmd_ext(rest):
     x = extnum.parse_ext(_one_arg(rest, "external-number expression"))
+    value = str(x)
     return _ok(
         "ext",
-        str(x),
+        value,
         center=str(x.center),
         neutrix=x.neutrix.label(),
-        value=str(x),
+        value=value,
     )
 
 

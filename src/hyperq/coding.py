@@ -232,9 +232,8 @@ def _direction(g: Germ, start: int) -> int:
     0 constant, +1 rising.  Decided, not sampled: no step g(k+1) - g(k)
     may have the opposite sign of the eventual one, and g may have no
     pole there."""
-    den = P.from_ints(P.to_ints(g.den)[0])
-    # den has integer values, so den(k)^2 - 1 < 0 exactly where den(k) = 0
-    pole = P.least_negative(P.sub(P.mul(den, den), P.ONE), start)
+    # g.den has integer values, so den(k)^2 - 1 < 0 exactly where den(k) = 0
+    pole = P.least_negative(P.sub(P.mul(g.den, g.den), P.ONE), start)
     if pole is not None:
         raise NonMonotoneGeneratorError(f"endpoint has a pole at k={pole}")
     shift = P.add(P.VAR, P.ONE)  # k + 1

@@ -631,7 +631,9 @@ def poly_to_ast(p, var: str = "w"):
 
 
 def germ_to_ast(g: Germ, var: str = "w"):
-    num = poly_to_ast(g.num, var)
-    if g.den == P.ONE:
+    """num/lc(den) over den/lc(den): the printed denominator is monic."""
+    c = P.lc(g.den)
+    num = poly_to_ast(tuple(Fraction(x, c) for x in g.num), var)
+    if len(g.den) == 1:
         return num
-    return Div(num, poly_to_ast(g.den, var))
+    return Div(num, poly_to_ast(tuple(Fraction(x, c) for x in g.den), var))

@@ -78,16 +78,16 @@ def _truncate(center: Germ, neutrix: Neutrix) -> Germ:
     if neutrix.contains(center):  # the whole field, or a centre it absorbs whole
         return G.ZERO
     t = max(0, -grade - 1)
-    # q[i] is the coefficient of w^(i - t) in the expansion at infinity;
-    # the remainder holds only terms below w^-t, all absorbed
-    q = P.divmod_(P.mul_xk(center.num, t), center.den)[0]
+    # q[i] / d is the coefficient of w^(i - t) in the expansion at
+    # infinity; the remainder holds only terms below w^-t, all absorbed
+    q, _, d = P.divmod_(P.mul_xk(center.num, t), center.den)
     kept = q[grade + t + 1:]  # the terms above the grade
     s = next(i for i, c in enumerate(kept) if c)
     low = grade + 1 + s  # exponent of the lowest kept term
-    if low >= 0:
-        return Germ._make(P.mul_xk(kept[s:], low), P.ONE)
+    # a constant denominator: no gcd, only the content is divided out
+    g = Germ(P.mul_xk(kept[s:], max(low, 0)), (d,))
     # kept[s] != 0, so the numerator shares no factor with w^-low
-    return Germ._make(kept[s:], P.mul_xk(P.ONE, -low))
+    return g if low >= 0 else Germ._make(g.num, P.mul_xk(g.den, -low))
 
 
 @dataclass(frozen=True)

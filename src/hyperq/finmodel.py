@@ -609,7 +609,7 @@ def parse_model(text: str):
     ``index: K`` and one ``w: i`` line.  ``member:`` and ``unary:``
     lines may repeat; every atom they name must be in the carrier."""
     carrier = None
-    members = set()
+    members = []  # file order, for the message
     unary = {}
     index_size = None
     w = None
@@ -634,7 +634,7 @@ def parse_model(text: str):
         elif key == "member":
             if len(parts) != 2:
                 raise EngineError("member lines take exactly two atoms")
-            members.add((parts[0], parts[1]))
+            members.append((parts[0], parts[1]))
         elif key == "unary":
             if len(parts) < 1:
                 raise EngineError("unary lines need a relation name")

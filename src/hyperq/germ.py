@@ -8,36 +8,39 @@ class of sequences every nonprincipal ultrafilter induces the same
 order and field structure, because every eventual property holds on a
 cofinite index set; no choice of ultrafilter is needed.
 
-Canonical form: numerator and denominator are coprime and the
-denominator is monic, so structural equality coincides with equality
-of germs.  All coefficients are exact; no floating point is used.
+Canonical form: numerator and denominator are tuples of Python ints,
+coprime over Q, jointly primitive (the gcd of all their coefficients
+is 1), and the denominator's leading coefficient is positive.  Each
+germ has exactly one such form, so structural equality coincides with
+equality of germs, and a constant ``p/q`` is stored as ``(p,)/(q,)``,
+``Fraction``'s own normal form.  The rational coefficients live in the
+ratio: ``Fraction`` inputs are cleared once, by the public constructor,
+and every polynomial kernel runs on ints (Gauss's lemma makes Z[w]
+enough).  No floating point is used.
 
-The fast paths rest on two invariants of that form.  A monic
-denominator is eventually positive, so the sign of a germ, and hence
-the order of two germs, is the sign of a leading coefficient:
-``compare`` reads it off ``a.num*b.den - b.num*a.den`` (or off the
-valuations alone) without building ``a - b``.  A constant shares no
-factor of positive degree with any polynomial, so a germ whose
-numerator or denominator is constant needs no gcd, only division by
-the leading coefficient of its denominator.
+The fast paths rest on two invariants of that form.  A denominator with
+a positive leading coefficient is eventually positive, so the sign of a
+germ, and hence the order of two germs, is the sign of a leading
+coefficient: ``compare`` reads it off ``a.num*b.den - b.num*a.den`` (or
+off the valuations alone) without building ``a - b``.  A constant
+shares no factor of positive degree with any polynomial, so a germ
+whose numerator or denominator is constant needs no gcd, only the
+division by the joint content.
 
 Most other germs a computation builds are already coprime, and
-``_poly.gcd`` proves that without dividing over Q: it clears
-denominators, reduces the coefficients modulo the prime 2^31 - 1 and
-runs Euclid there.  A common factor over Q can be taken primitive in
-Z[x], so its leading coefficient divides both scaled leading
-coefficients; when the prime divides neither, the factor keeps its
-degree modulo the prime, and a constant gcd there rules it out.  Any
-other outcome falls back to the primitive PRS over Z: pseudo-remainders
-of the integer multiples, each divided by its content, and the last
-nonzero one made monic.  The canonical form is the same either way.
-The polynomial products, divisions and evaluations behind all of this
-run on Python ints too, and build each result ``Fraction`` once.
+``_poly.gcd`` proves that without dividing, by Euclid modulo a prime,
+before it falls back to the primitive PRS over Z (see ``_poly``).  The
+gcd is primitive, so the quotients by it are integral.
+
+Products, quotients, sums and powers whose degree would pass
+``MAX_DEGREE`` are refused before they are computed, so that no input
+runs for ever.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 from . import _poly as P
@@ -45,6 +48,8 @@ from .errors import DegenerateDiagonalError, EngineError, ZeroGermError
 
 # Largest |n| accepted by Germ.__pow__ and BivariateGerm.__pow__.
 MAX_EXPONENT = 1000
+# Largest degree of a germ or family product, quotient, sum or power.
+MAX_DEGREE = 2 * MAX_EXPONENT
 
 
 def _check_exponent(n):
@@ -52,6 +57,16 @@ def _check_exponent(n):
         raise EngineError(
             f"exponent {n} exceeds the limit of {MAX_EXPONENT} in absolute value"
         )
+
+
+def _check_degree(d):
+    """Refuse, before it is computed, a result of degree up to d.  The
+    degree of a germ or family is the larger (total) degree of its
+    numerator and denominator, so that of a sum, product or quotient
+    is at most the sum of the operands' degrees, and that of an n-th
+    power at most |n| times the operand's."""
+    if d > MAX_DEGREE:
+        raise EngineError(f"degree {d} exceeds the limit of {MAX_DEGREE}")
 
 
 class InfiniteShadow:
@@ -88,26 +103,35 @@ class Germ:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=P.ONE):
+        # num and den: ints, Fractions, or coefficient tuples of them
         if isinstance(num, (int, Fraction)):
-            num = P.const(num)
+            num = (num,)
         if isinstance(den, (int, Fraction)):
-            den = P.const(den)
+            den = (den,)
         num, den = P.trim(num), P.trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in germ")
         if not num:
-            den = P.ONE
-        else:
-            if len(num) > 1 and len(den) > 1:
-                # a constant shares no factor with anything
-                g = P.gcd(num, den)
-                if P.degree(g) > 0:
-                    num = P.divmod_(num, g)[0]
-                    den = P.divmod_(den, g)[0]
-            c = P.lc(den)
-            if c != 1:
-                num = P.scale(num, 1 / c)
-                den = P.scale(den, 1 / c)
+            self.num, self.den = P.ZERO, P.ONE
+            return
+        try:
+            c = math.gcd(*num, *den)
+        except TypeError:  # Fraction coefficients: clear them, once, here
+            m = math.lcm(*(x.denominator for x in num + den))
+            num, den = (tuple(x.numerator * (m // x.denominator) for x in p) for p in (num, den))
+            c = math.gcd(*num, *den)
+        if len(num) > 1 and len(den) > 1:
+            # a constant shares no factor with anything; the gcd is
+            # primitive, so the quotients are integral and keep content c
+            g = P.gcd(num, den)
+            if len(g) > 1:
+                num = P.divmod_(num, g)[0]
+                den = P.divmod_(den, g)[0]
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            num = tuple(x // c for x in num)
+            den = tuple(x // c for x in den)
         self.num = num
         self.den = den
 
@@ -115,7 +139,7 @@ class Germ:
 
     @staticmethod
     def _make(num, den) -> "Germ":
-        """A germ from trimmed, coprime num and monic den; no gcd, no check."""
+        """A germ from num and den already in canonical form; no check."""
         g = object.__new__(Germ)
         g.num = num
         g.den = den
@@ -123,7 +147,10 @@ class Germ:
 
     @staticmethod
     def constant(q) -> "Germ":
-        return Germ(P.const(q))
+        """The constant germ of q: an int, or anything Fraction reads."""
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return Germ._make(P.const(q.numerator), (q.denominator,))
 
     # -- predicates ----------------------------------------------------
 
@@ -131,14 +158,17 @@ class Germ:
         return not self.num
 
     def is_constant(self) -> bool:
-        return P.degree(self.num) <= 0 and self.den == P.ONE
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("germ is not constant")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------
+
+    def _degree(self) -> int:
+        return max(len(self.num), len(self.den)) - 1
 
     @staticmethod
     def _coerce(x):
@@ -154,6 +184,7 @@ class Germ:
             return NotImplemented
         if self.den == other.den:
             return Germ(P.add(self.num, other.num), self.den)
+        _check_degree(self._degree() + other._degree())
         return Germ(
             P.mul_add(self.num, other.den, other.num, self.den),
             P.mul(self.den, other.den),
@@ -177,6 +208,7 @@ class Germ:
         other = Germ._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        _check_degree(self._degree() + other._degree())
         return Germ(P.mul(self.num, other.num), P.mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -187,6 +219,7 @@ class Germ:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero germ")
+        _check_degree(self._degree() + other._degree())
         return Germ(P.mul(self.num, other.den), P.mul(self.den, other.num))
 
     def __rtruediv__(self, other):
@@ -199,9 +232,11 @@ class Germ:
         if not isinstance(n, int):
             return NotImplemented
         _check_exponent(n)
+        _check_degree(abs(n) * self._degree())
         if n < 0:
             return Germ.constant(1) / self ** (-n)
-        # powers of coprime polynomials stay coprime, of monic ones monic
+        # powers of coprime polynomials stay coprime, of jointly
+        # primitive ones jointly primitive (Gauss), and lc(den)^n > 0
         return Germ._make(P.pow_(self.num, n), P.pow_(self.den, n))
 
     # -- order ---------------------------------------------------------
@@ -239,7 +274,7 @@ class Germ:
     # -- misc ----------------------------------------------------------
 
     def evaluate(self, n) -> Fraction:
-        """Exact value of the defining sequence at index ``n``."""
+        """Exact value of the defining sequence at an int or Fraction ``n``."""
         d = P.eval_at(self.den, n)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at n={n}")
@@ -279,14 +314,15 @@ def _sign(x) -> int:
 def compare(a: Germ, b) -> int:
     """Sign of a - b under eventual dominance: -1, 0 or +1.
 
-    Denominators are monic, hence eventually positive, so the sign is
-    that of the leading coefficient of a.num*b.den - b.num*a.den; when
-    the valuations differ, the germ of larger valuation decides alone.
+    Denominators have positive leading coefficients, hence are
+    eventually positive, so the sign is that of the leading coefficient
+    of a.num*b.den - b.num*a.den; when the valuations differ, the germ
+    of larger valuation decides alone.
     """
     if isinstance(b, Germ):
         bn, bd = b.num, b.den
     elif isinstance(b, (int, Fraction)):
-        bn, bd = P.const(b), P.ONE
+        bn, bd = P.const(b.numerator), (b.denominator,)
     else:
         raise TypeError("a germ compares only with a germ, int or Fraction")
     an, ad = a.num, a.den
@@ -298,7 +334,7 @@ def compare(a: Germ, b) -> int:
     if va != vb:
         return _sign(P.lc(an)) if va > vb else -_sign(P.lc(bn))
     if len(an) == len(ad) == len(bd) == 1:  # two constants
-        x, y = an[0], bn[0]
+        x, y = an[0] * bd[0], bn[0] * ad[0]
         return (x > y) - (x < y)
     if ad == bd:
         d = P.sub(an, bn)
@@ -324,7 +360,7 @@ def shadow(a: Germ):
     if v < 0:
         return Fraction(0)
     if v == 0:
-        return P.lc(a.num) / P.lc(a.den)
+        return Fraction(P.lc(a.num), P.lc(a.den))
     return POS_INF if P.lc(a.num) > 0 else NEG_INF
 
 
@@ -386,7 +422,11 @@ class BivariateGerm:
 
     @staticmethod
     def constant(q) -> "BivariateGerm":
-        return BivariateGerm(P.b_const(P.const(q)))
+        q = Fraction(q)
+        return BivariateGerm(P.b_const(P.const(q.numerator)), P.b_const((q.denominator,)))
+
+    def _degree(self) -> int:
+        return max(P.b_degree(self.num), P.b_degree(self.den))
 
     @staticmethod
     def from_germ(g: Germ) -> "BivariateGerm":
@@ -406,6 +446,7 @@ class BivariateGerm:
         other = BivariateGerm._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        _check_degree(self._degree() + other._degree())
         return BivariateGerm(
             P.b_add(P.b_mul(self.num, other.den), P.b_mul(other.num, self.den)),
             P.b_mul(self.den, other.den),
@@ -429,6 +470,7 @@ class BivariateGerm:
         other = BivariateGerm._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        _check_degree(self._degree() + other._degree())
         return BivariateGerm(
             P.b_mul(self.num, other.num), P.b_mul(self.den, other.den)
         )
@@ -441,6 +483,7 @@ class BivariateGerm:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero family")
+        _check_degree(self._degree() + other._degree())
         return BivariateGerm(
             P.b_mul(self.num, other.den), P.b_mul(self.den, other.num)
         )
@@ -455,16 +498,20 @@ class BivariateGerm:
         if not isinstance(n, int):
             return NotImplemented
         _check_exponent(n)
+        _check_degree(abs(n) * self._degree())
         if n < 0:
             return BivariateGerm.constant(1) / self ** (-n)
         return BivariateGerm(P.b_pow(self.num, n), P.b_pow(self.den, n))
 
     def at_k(self, n) -> Germ:
-        """The member germ at index k = n."""
+        """The member germ at index k = n, an int or a Fraction."""
         den = P.b_eval_first(self.den, n)
         if not den:
             raise ZeroDivisionError(f"family denominator vanishes at k={n}")
-        return Germ(P.b_eval_first(self.num, n), den)
+        # each is v^(its degree in k) times its value at n = u / v
+        e, v = len(self.num) - len(self.den), n.denominator
+        num = P.b_eval_first(self.num, n)
+        return Germ(P.scale(num, v ** max(-e, 0)), P.scale(den, v ** max(e, 0)))
 
     def __eq__(self, other):
         if not isinstance(other, BivariateGerm):

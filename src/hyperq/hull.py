@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import _poly as P
 from . import germ as G
 from .errors import (
     EngineError,
@@ -57,9 +56,9 @@ def vector(dim: int) -> MetricStructure:
 def is_natural_germ(g: Germ) -> bool:
     """Eventually a nonnegative integer: an integer-valued polynomial
     that is eventually nonnegative."""
-    if g.den != P.ONE:
+    if len(g.den) > 1:
         return False
-    if any(P.eval_at(g.num, j).denominator != 1 for j in range(len(g.num) + 1)):
+    if any(g.evaluate(j).denominator != 1 for j in range(len(g.num) + 1)):
         return False
     return g.is_zero() or G.compare(g, G.ZERO) >= 0
 

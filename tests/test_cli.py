@@ -10,7 +10,7 @@ import hyperq
 from helpers import empty_quotient_membership, forbid_quotients
 from hyperq import exprlang, finmodel
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
-from hyperq.germ import MAX_EXPONENT
+from hyperq.germ import MAX_DEGREE, MAX_EXPONENT
 from hyperq.hull import MAX_CHECK_DEPTH
 
 
@@ -270,6 +270,21 @@ def test_exponent_at_the_limit_prints():
     assert r.text.startswith("w^1000 + 1000*w^999 + 499500*w^998 + ")
     assert r.text.endswith(" + 499500*w^2 + 1000*w + 1")
     assert r.text.count(" + ") == 1000
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["eval", "((w+1)^100)^100"], 10000),
+    (["eval", "w^1000*w^1000*w"], MAX_DEGREE + 1),
+    (["eval", "(w^1000+1)/(w^1000+2) + (w^1000+3)/(w^1000*w+5)"], MAX_DEGREE + 1),
+    (["eval", "(w^1000+1)/(w^1000*w+2)/(w^1000+3)"], MAX_DEGREE + 1),
+    (["hull", "limit", "((k+1)^100)^100"], 10000),
+    (["hull", "limit", "k*((w+1)^100)^100"], 10000),
+], ids=["germ-power", "germ-product", "germ-sum", "germ-quotient", "family-power-in-k",
+        "family-power-in-w"])
+def test_degree_beyond_the_limit_is_refused_at_once(capsys, argv, degree):
+    start = time.process_time()
+    _assert_domain_error(capsys, argv, f"error: degree {degree} exceeds the limit of {MAX_DEGREE}")
+    assert time.process_time() - start < 1
 
 
 def test_high_degree_quotient_is_fast(capsys):

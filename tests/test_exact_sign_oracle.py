@@ -1,8 +1,6 @@
 """Exact sign decisions on the integers >= start, checked against sympy
 (a test-only oracle) and brute-force scans past its real roots."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,7 @@ x = sympy.Symbol("x")
 
 
 def _poly_of(coeffs):
-    return P.trim(tuple(Fraction(c) for c in coeffs))
+    return P.trim(coeffs)
 
 
 def _scan_bound(expr, start):

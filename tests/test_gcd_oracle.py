@@ -1,7 +1,9 @@
-"""_poly.gcd checked against sympy's monic gcd over QQ (a test-only
-oracle), with and without a planted common factor, and on the inputs
-where the coprimality certificate modulo 2^31 - 1 must step aside."""
+"""_poly.gcd checked against sympy's gcd over QQ (a test-only oracle),
+made primitive with a positive leading coefficient, with and without a
+planted common factor, and on the inputs where the coprimality
+certificate modulo 2^31 - 1 must step aside."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,24 +17,29 @@ sympy = pytest.importorskip("sympy")
 x = sympy.Symbol("x")
 PRIME = 2**31 - 1
 
-rational = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 7, 12, PRIME]))
-polys = st.lists(rational, min_size=0, max_size=7).map(P.trim)
-factors = st.lists(rational, min_size=2, max_size=4).map(P.trim).filter(lambda f: len(f) > 1)
+integer = st.builds(lambda c, k: c * k, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 7, 12, PRIME]))
+polys = st.lists(integer, min_size=0, max_size=7).map(P.trim)
+factors = st.lists(integer, min_size=2, max_size=4).map(P.trim).filter(lambda f: len(f) > 1)
 
 
 def oracle(p, q):
-    """sympy's monic gcd over QQ, lowest degree first."""
+    """sympy's gcd over QQ, lowest degree first, as the integer multiple
+    that is primitive with a positive leading coefficient."""
     f, g = (sympy.Poly(list(reversed(c)) or [0], x, domain="QQ") for c in (p, q))
     h = f.gcd(g)
     if h.is_zero:
         return P.ZERO
-    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(h.monic().all_coeffs()))
+    cs = [int(c) for c in reversed(h.clear_denoms()[1].all_coeffs())]
+    k = math.gcd(*cs) * (1 if cs[-1] > 0 else -1)
+    return tuple(c // k for c in cs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(polys, polys)
 def test_gcd_matches_sympy(p, q):
-    assert P.gcd(p, q) == oracle(p, q)
+    g = P.gcd(p, q)
+    assert g == oracle(p, q)
+    assert all(type(c) is int for c in g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -45,22 +52,27 @@ def test_planted_factor_is_found(p, q, f):
 
 
 def _p(*cs):
-    return P.trim(tuple(Fraction(c) for c in cs))
+    """The integer polynomial that rational coefficients cs clear to:
+    their multiple by the least common denominator."""
+    m = math.lcm(*(Fraction(c).denominator for c in cs))
+    return P.trim(tuple(int(Fraction(c) * m) for c in cs))
 
 
+# The ids name the rational inputs; each case holds their cleared
+# integer multiples, as a germ built from those rationals stores them.
 PINNED = {
     # the prime divides both scaled leading coefficients; the common
     # factor PRIME*x + 1 is 1 modulo the prime
     "prime-divides-leading-coefficient": (
         P.mul(_p(1, PRIME), _p(2, 1)), P.mul(_p(1, PRIME), _p(3, 1))),
-    # the prime divides denominators but not the scaled leading
-    # coefficients: the certificate applies, or finds x + 1 mod the prime
+    # the prime divides every denominator, so clearing removes it: the
+    # certificate applies, or finds x + 1 mod the prime
     "prime-divides-a-denominator": (
         _p(Fraction(1, PRIME), Fraction(1, PRIME)),
         _p(Fraction(3, PRIME), Fraction(1, PRIME), Fraction(2, PRIME))),
     "prime-divides-a-denominator-common-factor": (
-        P.scale(P.mul(_p(1, 1), _p(2, 1)), Fraction(1, PRIME)),
-        P.scale(P.mul(_p(1, 1), _p(3, 1)), Fraction(5, PRIME))),
+        _p(*(Fraction(c, PRIME) for c in P.mul(_p(1, 1), _p(2, 1)))),
+        _p(*(Fraction(5 * c, PRIME) for c in P.mul(_p(1, 1), _p(3, 1))))),
     # a lower denominator only: the scaled leading coefficient is PRIME*k
     "prime-divides-a-lower-denominator": (
         P.mul(_p(Fraction(1, PRIME), 1), _p(2, 1)), P.mul(_p(Fraction(1, PRIME), 1), _p(5, 0, 1))),
@@ -83,6 +95,6 @@ def test_pinned_cases_match_sympy(p, q):
 
 def test_leading_coefficient_check_keeps_the_common_factor():
     p, q = PINNED["prime-divides-leading-coefficient"]
-    assert P.gcd(p, q) == _p(Fraction(1, PRIME), 1)
+    assert P.gcd(p, q) == (1, PRIME)
     p, q = PINNED["prime-divides-a-lower-denominator"]
-    assert P.gcd(p, q) == _p(Fraction(1, PRIME), 1)
+    assert P.gcd(p, q) == (1, PRIME)

@@ -10,6 +10,7 @@ from hyperq import _poly as P
 from hyperq import measure as M
 from hyperq.errors import DegenerateDiagonalError, EngineError, ZeroGermError
 from hyperq.germ import (
+    MAX_DEGREE,
     MAX_EXPONENT,
     NEG_INF,
     OMEGA,
@@ -72,12 +73,16 @@ def test_division_by_zero_germ():
         arith(one, Germ.constant(0), "div")
 
 
-def test_canonical_form_is_reduced_and_monic():
+def test_canonical_form_is_reduced_and_primitive():
     g = Germ((2, 2), (4, 4))  # (2w+2)/(4w+4)
     assert g == Germ.constant(Fraction(1, 2))
-    h = Germ((1,), (1, -1))  # 1/(1-w): denominator sign flips
-    assert h.den[-1] == 1
+    assert (g.num, g.den) == ((1,), (2,))
+    h = Germ((2,), (2, -2))  # 2/(2-2w): content and denominator sign go
+    assert (h.num, h.den) == ((-1,), (-1, 1))
     assert h.evaluate(3) == Fraction(1, -2)
+    k = Germ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4),))  # (1/2 + w/3)/(3/4)
+    assert (k.num, k.den) == ((6, 4), (9,))
+    assert all(type(c) is int for c in k.num + k.den)
 
 
 # -- compare ---------------------------------------------------------------
@@ -313,7 +318,7 @@ def test_pow_negative_exponent():
 
 
 def test_pow_by_squaring_matches_repeated_products():
-    p = (Fraction(1), Fraction(-2), Fraction(1, 3))
+    p = (3, -6, 1)
     acc = P.ONE
     for n in range(12):
         assert P.pow_(p, n) == acc
@@ -334,14 +339,32 @@ def test_exponent_beyond_the_limit_is_refused(n):
     assert w ** -MAX_EXPONENT * w ** MAX_EXPONENT == one
 
 
+def test_degree_beyond_the_limit_is_refused_before_it_is_computed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polynomial product was computed")
+
+    a = w ** (MAX_DEGREE // 2) * w ** (MAX_DEGREE // 2)
+    f = parse_family("k*w") ** (MAX_DEGREE // 4)
+    g = f * f  # total degree MAX_DEGREE
+    assert P.degree(a.num) == P.b_degree(g.num) == MAX_DEGREE
+    inv_a, inv_x, inv_f, fw = 1 / a, 1 / (w + 1), 1 / f, parse_family("w")
+    for name in ("mul", "mul_add", "pow_", "b_mul", "b_pow"):
+        monkeypatch.setattr(P, name, refuse)
+    for build in (lambda: a * w, lambda: a / inv_x, lambda: a + inv_x, lambda: a ** 2,
+                  lambda: inv_a ** -2, lambda: g * f, lambda: g / inv_f, lambda: g + inv_f,
+                  lambda: g ** 2, lambda: fw * g):
+        with pytest.raises(EngineError, match=f"exceeds the limit of {MAX_DEGREE}"):
+            build()
+
+
 # -- fast paths: no gcd beside a constant, no product to compare -----------
 
 
 @pytest.fixture
 def poly_calls(monkeypatch):
-    """Counts of the calls of _poly.gcd, _poly.mul, _poly.divmod_ and the
-    integer division _poly._pdivmod from here on."""
-    calls = {"gcd": 0, "mul": 0, "divmod_": 0, "_pdivmod": 0}
+    """Counts of the calls of _poly.gcd, _poly.mul and _poly.divmod_ from
+    here on."""
+    calls = {"gcd": 0, "mul": 0, "divmod_": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(P, name)):
             calls[_name] += 1
@@ -393,15 +416,15 @@ def test_difference_runs_one_gcd(poly_calls):
 
 def test_coprime_gcd_is_certified_without_division(poly_calls):
     rng = random.Random(32)
-    a, b = (P.trim(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(32))
-                   + (Fraction(rng.randint(1, 9)),)) for _ in range(2))
+    a, b = (P.trim(tuple(rng.randint(-99, 99) * rng.randint(1, 9) for _ in range(32))
+                   + (rng.randint(1, 9),)) for _ in range(2))
     assert P.degree(a) == P.degree(b) == 32
     assert P.gcd(a, b) == P.ONE
-    assert poly_calls["divmod_"] == poly_calls["_pdivmod"] == 0
+    assert poly_calls["divmod_"] == 0
     # a common factor still reaches the primitive PRS
-    f = P.trim((Fraction(1, 3), Fraction(1)))
+    f = (1, 3)
     assert P.gcd(P.mul(a, f), P.mul(b, f)) == f
-    assert poly_calls["_pdivmod"] > 0
+    assert poly_calls["divmod_"] > 0
 
 
 def test_shadow_of_limited_is_between_bounds():

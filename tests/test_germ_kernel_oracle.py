@@ -1,6 +1,8 @@
 """The germ kernel's order, field operations and hash, checked against
-sympy (a test-only oracle) on small germs, constants over-represented."""
+sympy (a test-only oracle) on small germs, constants over-represented,
+and the canonical form of germs built from Fraction coefficients."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ factor = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(lambda c: c
 
 
 def _poly(cs):
-    return P.trim(tuple(Fraction(c) for c in cs))
+    return P.trim(cs)
 
 
 @st.composite
@@ -41,16 +43,28 @@ def _pair(g):
 
 
 def _cancel(num, den):
-    """sympy's reduced form of num/den, with a monic denominator."""
+    """sympy's reduced form of num/den over QQ, as the integer multiple
+    that is jointly primitive with a positive leading denominator
+    coefficient."""
     num, den = num.cancel(den, include=True)
-    return num.quo_ground(den.LC()), den.monic()
+    m = math.lcm(*(int(c.q) for c in num.all_coeffs() + den.all_coeffs()))
+    num, den = num * m, den * m
+    k = math.gcd(*(int(c) for c in num.all_coeffs() + den.all_coeffs()))
+    k = k if den.LC() > 0 else -k
+    return num.quo_ground(k), den.quo_ground(k)
+
+
+def _assert_canonical(g):
+    """int coefficients, coprime, jointly primitive, lc(den) > 0."""
+    assert all(type(c) is int for c in g.num + g.den)
+    assert g.den[-1] > 0 and math.gcd(*g.num, *g.den) == 1
+    gn, gd = _pair(g)
+    assert gn.gcd(gd).degree() == 0  # so zero is 0/1
 
 
 def _assert_canonical_and_equal(g, num, den):
-    gn, gd = _pair(g)
-    assert gd.LC() == 1
-    assert gn.gcd(gd).degree() == 0  # so zero is 0/1
-    assert (gn, gd) == _cancel(num, den)
+    _assert_canonical(g)
+    assert _pair(g) == _cancel(num, den)
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,7 +74,7 @@ def test_compare_is_the_sign_at_infinity(a, b):
     num = _cancel(an * bd - bn * ad, ad * bd)[0]
     assert compare(a, b) == sympy.sign(num.LC())
     for q in (0, 1, Fraction(-3, 7)):  # coerced like germs
-        num = _cancel(an - ad * sympy.Rational(Fraction(q).numerator, Fraction(q).denominator), ad)[0]
+        num = _cancel(an - ad * sympy.Rational(q.numerator, q.denominator), ad)[0]
         assert compare(a, q) == sympy.sign(num.LC())
 
 
@@ -88,6 +102,19 @@ def test_equal_germs_hash_alike(a, cs):
     if a.is_constant():
         q = a.constant_value()
         assert a == q and hash(a) == hash(q)
+
+
+rationals = st.fractions(max_denominator=2**40).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(germs(), rationals)
+def test_fraction_coefficients_clear_to_the_same_germ(a, c):
+    # c*num over c*den, built from Fraction tuples, is the same germ
+    b = Germ(tuple(c * x for x in a.num), tuple(c * x for x in a.den))
+    assert (b.num, b.den) == (a.num, a.den) and hash(b) == hash(a)
+    _assert_canonical(a)
+    _assert_canonical(b)
 
 
 @given(germs())

@@ -6,16 +6,22 @@ that is meant to alter output, rewrite that file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and review the diff.
+and review the diff.  The cases that read a model or sigma file also
+run in fresh interpreters under three hash seeds, since the same argv
+must always produce the same bytes.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hyperq
 from hyperq.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -93,6 +99,8 @@ CASES = [
     ["oracle", "--model", "{golden}/unary_outside.model"],
     ["measure", "--sigma", "{golden}/bad_start.sigma"],
     ["measure", "--sigma", "{golden}/bad_depth.sigma"],
+    # several membership pairs leave the carrier: the first one is named
+    ["oracle", "--model", "{golden}/member_outside.model"],
     # integer flags take an optional - and ASCII digits, nothing else
     ["oracle", "--depth", "abc"],
     ["oracle", "--depth", ""],
@@ -104,6 +112,15 @@ CASES = [
     ["hull", "limit", "k/(k+1)", "--start", "+1"],
     ["hull", "limit", "k/(k+1)", "--check-depth", "1_0"],
     ["hull", "point", "v:abc", "1"],
+    # canonical forms with non-integer coefficients, or from non-monic input
+    ["eval", "1/(2*w+1)"],
+    ["eval", "(w^2+1)/(3*w-2)"],
+    ["eval", "(2*w+2)/(4*w+4)"],
+    ["ext", "1/(3*w+1) + N(-3)"],
+    ["shadow", "(w+1)/(3*w)"],
+    ["hull", "point", "n", "w*(w+1)/2"],
+    ["hull", "point", "n", "w/2"],
+    ["hull", "limit", "k/(2*k+1) + 1/(3*w)"],
 ]
 
 
@@ -126,6 +143,36 @@ def _key(case, as_json):
 def test_cli_bytes_match_golden(case, as_json):
     golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
     assert _run(case, as_json) == golden[_key(case, as_json)]
+
+
+FILE_CASES = [c for c in CASES if "--model" in c or "--sigma" in c]
+
+# Runs the cases read from stdin through _run and prints the results.
+_BATCH = """
+import json, sys
+from test_golden_cli import _key, _run
+cases = json.load(sys.stdin)
+json.dump({_key(c, j): _run(c, j) for c in cases for j in (False, True)}, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module", params=["0", "1", "2"], ids=lambda s: f"PYTHONHASHSEED={s}")
+def fresh_run(request):
+    """The file cases run in one fresh interpreter under a hash seed."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hyperq.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=request.param)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, str(Path(__file__).parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BATCH], input=json.dumps(FILE_CASES),
+                          capture_output=True, text=True, timeout=300, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("case", FILE_CASES, ids=[" ".join(c) for c in FILE_CASES])
+def test_file_cases_match_golden_under_hash_seeds(case, as_json, fresh_run):
+    golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    assert fresh_run[_key(case, as_json)] == golden[_key(case, as_json)]
 
 
 def _regenerate():
