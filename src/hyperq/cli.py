@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprlang, extnum, finmodel, germ, hull, measure
@@ -45,7 +45,6 @@ class CommandResult:
     text: str
     payload: dict
     exit_code: int = 0
-    diagnostics: list = field(default_factory=list)
 
 
 def _ok(command: str, text: str, **payload) -> CommandResult:
@@ -55,7 +54,7 @@ def _ok(command: str, text: str, **payload) -> CommandResult:
 
 def _err(command: str, message: str, code: int) -> CommandResult:
     record = {"command": command, "status": "error", "error": message, "code": code}
-    return CommandResult("error", f"error: {message}", record, code, [message])
+    return CommandResult("error", f"error: {message}", record, code)
 
 
 def _frac(q: Fraction) -> dict:

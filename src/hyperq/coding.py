@@ -28,15 +28,13 @@ from . import extnum as X
 from . import germ as G
 from .errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
 from .germ import Germ
-from .measure import Piece, _cuts, _order, _sweep, piece_of
+from .measure import _KEEP, Piece, _cuts, _order, _sweep, piece_of
 
 # -- the normal form -----------------------------------------------------
 
 _LINE = X.make(G.ZERO, X.ALL_N)
 _WHOLE = ((_LINE, 0), (_LINE, 1))  # the cuts of the whole line
 _CUT_KEY = cmp_to_key(_order)
-_KEEP = {"union": lambda a, b: a or b, "intersection": lambda a, b: a and b,
-         "difference": lambda a, b: a and not b}
 
 
 class Cuts(NamedTuple):
@@ -335,7 +333,7 @@ def _cuts_ast(cuts: tuple, var: str):
     if not cuts:
         return E.AndP(E.PredAtom("inf"), E.NotP(E.PredAtom("limited")))
     if cuts[0] == _WHOLE[0]:  # a complement
-        return E.NotP(_cuts_ast(tuple(_sweep(_WHOLE, cuts, lambda a, b: a and not b)), var))
+        return E.NotP(_cuts_ast(tuple(_sweep(_WHOLE, cuts, _KEEP["difference"])), var))
     return reduce(E.OrP, (_piece_ast(cuts[i], cuts[i + 1], var) for i in range(0, len(cuts), 2)))
 
 

@@ -3,16 +3,16 @@ algebra its internal sets share with coded sets.
 
 The time line is the grid {i/N : 0 <= i <= N} for an unlimited germ N
 (default w).  An internal set is a union of germ-endpoint intervals
-inside [0,1], intersected with the grid.  Its normal form is a sorted
-list of cuts, two per piece: a cut (g, side) lies just below g (side 0)
-or just above it (side 1), so a closed lower end or an open upper end
-at g is the cut (g, 0), and an open lower end or a closed upper end is
-(g, 1).  Coded sets also cut below or above a whole external number
-c + N; germ cuts are the case N = 0.  A list is normal when its cuts
-strictly increase.  Union, intersection, difference and complement are
-one merge of two cut lists that emits a cut wherever the boolean
-combination of the two memberships changes, so their results are
-normal by construction; only the constructor sorts and merges
+inside [0,1], intersected with the grid, and it is stored as its normal
+form alone: a sorted list of cuts, two per piece.  A cut (g, side) lies
+just below g (side 0) or just above it (side 1), so a closed lower end
+or an open upper end at g is the cut (g, 0), and an open lower end or a
+closed upper end is (g, 1).  Coded sets also cut below or above a whole
+external number c + N; germ cuts are the case N = 0.  A list is normal
+when its cuts strictly increase.  Union, intersection, difference and
+complement are one merge of two cut lists that emits a cut wherever the
+boolean combination of the two memberships changes, so their results
+are normal by construction; only the constructor sorts and merges
 arbitrary pieces.
 
 The counting measure of an internal set is carried as a pair of exact
@@ -21,9 +21,12 @@ value, and on rational-endpoint sets the Loeb value is the Lebesgue
 measure.
 
 Sigma-additivity is exercised through generated families with
-certificates: exact partial values plus an exact limit, obtained either
-from the shadow of a symbolic width (endpoints rational in the family
-index) or from an exactly verified geometric difference pattern.
+certificates: exact partial values plus an exact limit.  A monotone
+schema family, whose endpoints are germs in the family index k, has as
+its limit the Loeb measure of the set its pieces make as germs in k:
+ordering germs is eventual order, so that set's normal form is the
+shape of every member for all large k.  Other families get their limit
+from an exactly verified constant or geometric difference pattern.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ def _cuts(pieces) -> list:
     return out
 
 
+def _spans(cuts):
+    """The (lower, upper) cut pairs of a normal cut list."""
+    return zip(cuts[::2], cuts[1::2])
+
+
 @dataclass(frozen=True)
 class Piece:
     lo: Germ
@@ -104,11 +112,15 @@ class Piece:
     def is_empty(self) -> bool:
         return _order(*_cuts((self,))) >= 0
 
-    def width(self) -> Germ:
-        return self.hi - self.lo
+
+def _stray_end(p: Piece) -> Optional[Germ]:
+    """An endpoint of p below 0 or above 1, if there is one."""
+    if G.compare(p.lo, _ZERO) < 0:
+        return p.lo
+    return p.hi if G.compare(p.hi, _ONE) > 0 else None
 
 
-def _sweep(a: list, b: list, keep) -> list:
+def _sweep(a, b, keep) -> list:
     """Cuts of {x : keep(x in A, x in B)} from the sorted cuts of A and B.
 
     Coinciding cuts are passed together and a cut is emitted wherever
@@ -130,31 +142,29 @@ def _sweep(a: list, b: list, keep) -> list:
     return out
 
 
-def _pieces(cuts) -> tuple:
-    pairs = zip(cuts[::2], cuts[1::2])
-    return tuple(Piece(lo[0], hi[0], lo[1] == 0, hi[1] == 1) for lo, hi in pairs)
+_KEEP = {"union": lambda a, b: a or b, "intersection": lambda a, b: a and b,
+         "difference": lambda a, b: a and not b}
 
 
 def _from_cuts(cuts, timeline) -> "InternalSet":
     """An InternalSet on a cut list that is already normal."""
     x = object.__new__(InternalSet)
-    x.pieces, x.timeline = _pieces(cuts), timeline
+    x.cuts, x.timeline = tuple(cuts), timeline
     return x
 
 
-_UNIT = [(_ZERO, 0), (_ONE, 1)]  # the cuts of [0,1]
+_UNIT = ((_ZERO, 0), (_ONE, 1))  # the cuts of [0,1]
 _SPAN_KEY = cmp_to_key(lambda s, t: _order(s[0], t[0]))
 
 
 class InternalSet:
-    """A normalized disjoint union of germ-endpoint intervals in [0,1].
-
-    ``pieces`` is normal: as two cuts per piece it is a strictly
-    increasing cut list.  The constructor validates, sorts and merges
-    arbitrary pieces; set-algebra results leave the cut sweep normal.
+    """A disjoint union of germ-endpoint intervals in [0,1], stored as
+    its normal cut list ``cuts``: strictly increasing, two cuts per
+    piece.  The constructor validates, sorts and merges arbitrary
+    pieces; set-algebra results leave the cut sweep normal.
     """
 
-    __slots__ = ("timeline", "pieces")
+    __slots__ = ("timeline", "cuts")
 
     def __init__(self, pieces, timeline: TimeLine = DEFAULT_TIMELINE):
         spans = []
@@ -163,7 +173,7 @@ class InternalSet:
                 p = Piece(*p)
             if p.is_empty():
                 continue
-            if G.compare(p.lo, _ZERO) < 0 or G.compare(p.hi, _ONE) > 0:
+            if _stray_end(p) is not None:
                 raise EngineError(f"piece {p} leaves [0,1]")
             spans.append(_cuts((p,)))
         spans.sort(key=_SPAN_KEY)
@@ -173,51 +183,48 @@ class InternalSet:
                 cuts += (lo, hi)
             elif _order(hi, cuts[-1]) > 0:
                 cuts[-1] = hi
-        self.pieces = _pieces(cuts)
+        self.cuts = tuple(cuts)
         self.timeline = timeline
+
+    @property
+    def pieces(self) -> tuple:
+        """The normal pieces, one per pair of cuts."""
+        return tuple(Piece(lo[0], hi[0], lo[1] == 0, hi[1] == 1) for lo, hi in _spans(self.cuts))
 
     def __eq__(self, other):
         if not isinstance(other, InternalSet):
             return NotImplemented
-        return self.timeline == other.timeline and self.pieces == other.pieces
+        return self.timeline == other.timeline and self.cuts == other.cuts
 
     def __hash__(self):
-        return hash((self.timeline, self.pieces))
+        return hash((self.timeline, self.cuts))
 
     def __str__(self):
-        if not self.pieces:
-            return "(empty)"
-        parts = []
-        for p in self.pieces:
-            left = "[" if p.lo_closed else "("
-            right = "]" if p.hi_closed else ")"
-            parts.append(f"{left}{p.lo},{p.hi}{right}")
-        return " | ".join(parts)
+        parts = (f"{'[('[s]}{a},{b}{')]'[t]}" for (a, s), (b, t) in _spans(self.cuts))
+        return " | ".join(parts) or "(empty)"
 
     def is_empty(self) -> bool:
-        return not self.pieces
+        return not self.cuts
 
     # -- set algebra: one sweep over the cuts of both operands ---------
 
-    def _combine(self, other: "InternalSet", keep) -> "InternalSet":
+    def _combine(self, other: "InternalSet", op: str) -> "InternalSet":
         if self.timeline != other.timeline:
             raise EngineError("sets live on different time lines")
-        cuts = _sweep(_cuts(self.pieces), _cuts(other.pieces), keep)
-        return _from_cuts(cuts, self.timeline)
+        return _from_cuts(_sweep(self.cuts, other.cuts, _KEEP[op]), self.timeline)
 
     def union(self, other: "InternalSet") -> "InternalSet":
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, "union")
 
     def intersect(self, other: "InternalSet") -> "InternalSet":
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, "intersection")
 
     def difference(self, other: "InternalSet") -> "InternalSet":
-        return self._combine(other, lambda a, b: a and not b)
+        return self._combine(other, "difference")
 
     def complement(self) -> "InternalSet":
         """The complement within [0,1]."""
-        cuts = _sweep(_UNIT, _cuts(self.pieces), lambda a, b: a and not b)
-        return _from_cuts(cuts, self.timeline)
+        return _from_cuts(_sweep(_UNIT, self.cuts, _KEEP["difference"]), self.timeline)
 
     def subset_of(self, other: "InternalSet") -> bool:
         return self.difference(other).is_empty()
@@ -237,8 +244,8 @@ def counting_measure(x: InternalSet) -> MeasureValue:
     """Exact germ bounds on |X|/|T| whose shadows agree, plus that
     common shadow, the shadow of the summed width, as the Loeb value."""
     n = x.timeline.size
-    width = sum((p.width() for p in x.pieces), _ZERO)
-    slack = Germ.constant(len(x.pieces))
+    width = sum((hi[0] - lo[0] for lo, hi in _spans(x.cuts)), _ZERO)
+    slack = Germ.constant(len(x.cuts) // 2)
     lower = (width * n - slack) / (n + 1)
     upper = (width * n + slack) / (n + 1)
     return MeasureValue(_clamp(G.shadow(width)), lower, upper)
@@ -246,7 +253,8 @@ def counting_measure(x: InternalSet) -> MeasureValue:
 
 def loeb_measure(x: InternalSet) -> Fraction:
     """Sum of shadow widths of the normalized pieces, clamped to [0,1]."""
-    return _clamp(sum((G.shadow(p.hi) - G.shadow(p.lo) for p in x.pieces), Fraction(0)))
+    shadows = (G.shadow(hi[0]) - G.shadow(lo[0]) for lo, hi in _spans(x.cuts))
+    return _clamp(sum(shadows, Fraction(0)))
 
 
 def _clamp(q: Fraction) -> Fraction:
@@ -308,18 +316,21 @@ def lebesgue(expr) -> Fraction:
 # -- sigma families -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PieceSchema:
-    """Interval template with endpoints given as germs in k."""
+# A schema piece: an interval template whose endpoints are germs in the
+# family index k.
+PieceSchema = Piece
 
-    lo: Germ
-    hi: Germ
-    lo_closed: bool = True
-    hi_closed: bool = True
+# The pieces a generator family may materialize; halving constructions
+# double their piece count at every step.  Schema families materialize
+# every member up to the depth, which MAX_CHECK_DEPTH bounds.
+PIECE_BUDGET = 20000
 
 
 @dataclass(frozen=True)
 class SigmaFamily:
+    """A monotone or disjoint family of internal sets indexed by k >= start,
+    given by a schema (pieces with endpoints in k) or a generator."""
+
     mode: str  # "increasing" | "decreasing" | "disjoint"
     schema: Optional[tuple] = None  # tuple of PieceSchema
     generator: Optional[Callable[[int], InternalSet]] = None
@@ -370,8 +381,7 @@ def _check_mode(family: SigmaFamily, sets: list, start: int):
         # exactly when each piece starts at or above the previous upper cut.
         spans = []
         for i, s in enumerate(sets):
-            cuts = _cuts(s.pieces)
-            spans += ((lo, hi, i) for lo, hi in zip(cuts[::2], cuts[1::2]))
+            spans += ((lo, hi, i) for lo, hi in _spans(s.cuts))
         spans.sort(key=_SPAN_KEY)
         for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
             if _order(lo, hi) < 0:
@@ -379,9 +389,21 @@ def _check_mode(family: SigmaFamily, sets: list, start: int):
                 raise ModeViolationError(f"sets at k={start + i} and k={start + j} overlap")
 
 
-def _geometric_extension(values, depth, start):
+def _eventual_set(family: SigmaFamily) -> InternalSet:
+    """The schema's pieces as one set of germs in k.  The constructor
+    sorts and merges them in eventual order, so its normal form is the
+    shape every member takes for all large k."""
+    for p in family.schema:
+        end = None if p.is_empty() else _stray_end(p)
+        if end is not None:
+            end = E.format(E.germ_to_ast(end, "k"))
+            raise EngineError(f"piece endpoint {end} eventually leaves [0,1]")
+    return InternalSet(family.schema, family.timeline)
+
+
+def _geometric_extension(values, depth):
     """Detect an exactly geometric difference pattern; return
-    (limit, extended values) or None."""
+    (limit, extended values, derivation) or None."""
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     if not diffs:
         return None
@@ -406,59 +428,42 @@ def _geometric_extension(values, depth, start):
     return limit, full, f"geometric differences with ratio {ratio}"
 
 
-def sigma_limit(
-    family: SigmaFamily, depth: int, piece_budget: int = 20000
-) -> SigmaCertificate:
+def sigma_limit(family: SigmaFamily, depth: int) -> SigmaCertificate:
     """Exact partial values and the exact limit of a sigma family.
 
     Monotone modes report the member measures; the disjoint mode
-    reports partial sums.  Values are computed directly while the
-    materialized sets stay within the piece budget; past that point a
-    difference pattern verified exactly on the whole prefix (constant
-    or geometric) extends the certificate, since e.g. halving
-    constructions square their piece count at every step.
+    reports partial sums.  A schema family materializes and mode-checks
+    every member up to the depth.  A monotone schema's limit is the Loeb
+    measure of its eventual set: for all large k the members take that
+    set's shape, so their measures tend to the shadows of its widths.
+    A schema piece that eventually leaves [0,1] is refused.  Other
+    limits come from a difference pattern verified exactly on the
+    materialized values (constant or geometric), which also extends the
+    values of a generator family that stopped at PIECE_BUDGET.
     """
     check_depth_bound(depth)
     start = family.start
+    eventual = None if family.schema is None else _eventual_set(family)
     sets, spent = [], 0
     for k in range(start, start + depth + 1):
         s = family.at(k)
-        spent += max(len(s.pieces), 1)
-        if sets and spent > piece_budget:
+        spent += max(len(s.cuts) // 2, 1)
+        if family.generator is not None and sets and spent > PIECE_BUDGET:
             break
         sets.append(s)
     _check_mode(family, sets, start)
     measures = [loeb_measure(s) for s in sets]
     values = list(accumulate(measures)) if family.mode == "disjoint" else measures
     materialized_to = start + len(values) - 1
-
-    limit = None
-    derivation = ""
-    if family.mode != "disjoint" and family.schema is not None:
-        width = sum((s.hi - s.lo for s in family.schema), _ZERO)
-        if all(
-            width.evaluate(start + i) == values[i] for i in range(len(values))
-        ):
-            sh = G.shadow(width)
-            if not isinstance(sh, G.InfiniteShadow):
-                limit = _clamp(sh)
-                derivation = "shadow of the symbolic width in the family index"
-
-    full_values = values
-    if limit is None:
-        ext = _geometric_extension(values, depth, start)
+    if eventual is not None and family.mode != "disjoint":
+        limit = loeb_measure(eventual)
+        derivation = "shadow of the symbolic width in the family index"
+    else:
+        ext = _geometric_extension(values, depth)
         if ext is None:
-            raise LimitUndecidableError(
-                "no exact closed form found for the value sequence"
-            )
-        limit, full_values, derivation = ext
-    elif len(full_values) < depth + 1:
-        full_values = list(values) + [
-            loeb_measure(family.at(k))
-            for k in range(materialized_to + 1, start + depth + 1)
-        ]
-
-    pairs = tuple((start + i, v) for i, v in enumerate(full_values))
+            raise LimitUndecidableError("no exact closed form found for the value sequence")
+        limit, values, derivation = ext
+    pairs = tuple((start + i, v) for i, v in enumerate(values))
     return SigmaCertificate(family.mode, pairs, limit, materialized_to, derivation)
 
 
@@ -552,14 +557,7 @@ def parse_sigma_file(text: str):
             node = E.parse(value, "kset")
             if not isinstance(node, E.Interval):
                 raise EngineError("piece lines must be single intervals")
-            schemas.append(
-                PieceSchema(
-                    E.to_germ(node.lo, var="k"),
-                    E.to_germ(node.hi, var="k"),
-                    node.lo_closed,
-                    node.hi_closed,
-                )
-            )
+            schemas.append(piece_of(node, "k"))
         else:
             raise EngineError(f"unknown sigma schema key {key!r}")
     if mode is None or not schemas:

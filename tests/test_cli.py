@@ -110,6 +110,18 @@ def test_sigma_file(tmp_path):
     assert r.payload["values"][0] == {"k": 1, "num": 0, "den": 1}
 
 
+def test_sigma_mode_is_checked_on_every_member(tmp_path):
+    # 20 pieces a member: only the first ~1000 members fit a 20000-piece
+    # budget, and the last piece's lower end turns upwards after k = 1200
+    pieces = [f"piece: [{i}/40, {i}/40 + 1/100]" for i in range(19)]
+    pieces.append("piece: [3/4 + (k-1200)^2/(20*((k-1200)^2 + 1000000)), 9/10]")
+    schema = tmp_path / "late.sigma"
+    schema.write_text("\n".join(["mode: increasing", "start: 1", "depth: 1500"] + pieces) + "\n")
+    r = run("measure", "--sigma", str(schema))
+    assert r.exit_code == DOMAIN
+    assert r.text == "error: set at k=1200 is not below its successor"
+
+
 def test_outputs_deterministic():
     first = run("measure", "[0,1/3] | (1/2,1]")
     second = run("measure", "[0,1/3] | (1/2,1]")

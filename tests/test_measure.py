@@ -110,6 +110,15 @@ def test_piece_outside_unit_interval_rejected():
         M.InternalSet([M.Piece(-one / w, one)])
 
 
+def test_set_is_its_cut_list():
+    x = iset("[1/2,3/4] | {1/w} | (1/4,1/2)")
+    assert M.InternalSet.__slots__ == ("timeline", "cuts")
+    assert x.cuts == ((one / w, 0), (one / w, 1), (one / 4, 1), (3 * one / 4, 1))
+    assert x.pieces == (M.Piece(one / w, one / w), M.Piece(one / 4, 3 * one / 4, False, True))
+    assert M.InternalSet(x.pieces) == x
+    assert str(x) == "[1/w,1/w] | (1/4,3/4]"
+
+
 def test_monotone_measure():
     small, big = iset("[1/4,1/2]"), iset("[0,3/4]")
     assert small.subset_of(big)
