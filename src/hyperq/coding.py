@@ -211,11 +211,8 @@ class CodedFamily:
     universe: str = "V"
 
     def at(self, k: int) -> CodedSet:
-        lo = Germ.constant(self.lo.evaluate(k))
-        hi = Germ.constant(self.hi.evaluate(k))
-        return CodedSet(
-            InInterval(lo, hi, self.lo_closed, self.hi_closed), self.universe
-        )
+        member = Piece(self.lo, self.hi, self.lo_closed, self.hi_closed).at(k)
+        return CodedSet(_convex(*_cuts((member,))), self.universe)
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,24 @@ Four entry modes share one grammar core:
   the connectives ``~``, ``&``, ``|``
   (``kset`` is the same layer with interval endpoints in ``k``)
 
-Precedence, tightest first: ``^``, unary ``-``, ``*`` ``/``, ``+`` ``-``,
-``~``, ``&``, ``|``.  ``^`` takes a literal integer exponent.  Decimal
-literals are converted to exact fractions; a literal fraction ``p/q`` is
-folded into a single number node, so ``1/0`` is rejected while parsing.
-``format`` prints with canonical spacing and minimal parentheses, and
-``parse(format(t))`` returns ``t`` for every tree ``t`` in the parser's
-image.  Input whose brackets and prefix operators, or whose tree, nest
-deeper than ``MAX_DEPTH`` levels is refused with a ``ParseError``.  The
-normative grammar ships in docs/grammar.ebnf.  Every evaluator of these
-trees is one ``fold``: an operator table for the inner nodes and a leaf
-function for the rest.
+The operator table ``_OPERATORS`` defines precedence: the parser climbs
+it and the printer reads it.  ``^`` takes a literal integer exponent.
+Decimal literals are converted to exact fractions; a literal fraction
+``p/q`` is folded into a single number node, so ``1/0`` is rejected
+while parsing.  ``format`` prints with canonical spacing and minimal
+parentheses, and ``parse(format(t))`` returns ``t`` for every tree ``t``
+in the parser's image.  Input whose brackets and prefix operators, or
+whose tree, nest deeper than ``MAX_DEPTH`` levels is refused with a
+``ParseError``.  The normative grammar ships in docs/grammar.ebnf.
+Every evaluator of these trees is one ``fold``: a function per inner
+node class and a leaf function for the rest.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -223,6 +225,31 @@ _PRED_NAMES = ("limited", "inf", "std")
 MAX_DEPTH = 100
 
 
+# The operator table, tightest first: it alone defines precedence (a
+# higher ``prec`` binds tighter).  A row's ``layer`` is "arith" for the
+# operators of germ expressions and "set" for the connectives of sets;
+# its ``spelling`` is what ``format`` prints.  The parser climbs the
+# prefix and infix rows, and infix operators associate to the left;
+# "^" takes a literal integer exponent and binds to an atom, so
+# ``_Parser.power`` parses it.  The printer reads every row.
+_Op = namedtuple("_Op", "token layer fix node prec spelling")
+_OPERATORS = (
+    _Op("^", "arith", "postfix", Pow, 7, "^"),
+    _Op("-", "arith", "prefix", Neg, 6, "-"),
+    _Op("*", "arith", "infix", Mul, 5, "*"),
+    _Op("/", "arith", "infix", Div, 5, "/"),
+    _Op("+", "arith", "infix", Add, 4, " + "),
+    _Op("-", "arith", "infix", Sub, 4, " - "),
+    _Op("~", "set", "prefix", NotP, 3, "~"),
+    _Op("&", "set", "infix", AndP, 2, " & "),
+    _Op("|", "set", "infix", OrP, 1, " | "),
+)
+# the prefix and the infix rows, by layer and then by token
+_PREFIX, _INFIX = ({layer: {op.token: op for op in _OPERATORS if op.fix == fix and op.layer == layer}
+                    for layer in ("arith", "set")} for fix in ("prefix", "infix"))
+_BY_NODE = {op.node: op for op in _OPERATORS}
+
+
 class _Parser:
     def __init__(self, tokens, mode):
         self.tokens = tokens
@@ -242,59 +269,43 @@ class _Parser:
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def fail(self, message):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def nested(self, parse):
-        """``parse()`` one nesting level down, refusing to pass MAX_DEPTH."""
+    def nested(self, parse, *args):
+        """``parse(*args)`` one nesting level down, refusing to pass MAX_DEPTH."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.fail(f"expression nests deeper than {MAX_DEPTH} levels")
-        node = parse()
+        node = parse(*args)
         self.depth -= 1
         return node
 
-    # -- arithmetic layer ---------------------------------------------
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
+    def climb(self, layer, floor=0):
+        """An expression of ``layer`` whose infix operators all bind tighter
+        than ``floor``.  A negated number or a quotient of numbers folds."""
+        op = _PREFIX[layer].get(self.peek().kind)
+        if op is None:
+            node = self.power() if layer == "arith" else self.set_atom()
+        else:
+            self.next()
+            node = self.nested(self.climb, layer, op.prec)
+            node = Num(-node.value) if op.node is Neg and type(node) is Num else op.node(node)
+        infix = _INFIX[layer]
+        while (op := infix.get(self.peek().kind)) is not None and op.prec > floor:
             tok = self.next()
-            rhs = self.unary()
-            if tok.kind == "*":
-                node = Mul(node, rhs)
-            elif isinstance(node, Num) and isinstance(rhs, Num):
+            rhs = self.climb(layer, op.prec)
+            if op.node is Div and type(node) is Num and type(rhs) is Num:
                 if rhs.value == 0:
                     raise ParseError("zero denominator in literal", tok.line, tok.col)
                 node = Num(node.value / rhs.value)
             else:
-                node = Div(node, rhs)
+                node = op.node(node, rhs)
         return node
-
-    def unary(self):
-        if self.peek().kind == "-":
-            self.next()
-            child = self.nested(self.unary)
-            if isinstance(child, Num):
-                return Num(-child.value)
-            return Neg(child)
-        return self.power()
 
     def power(self):
         node = self.atom()
@@ -321,7 +332,7 @@ class _Parser:
             return Num(_num_value(tok.text))
         if tok.kind == "(":
             self.next()
-            node = self.nested(self.expr)
+            node = self.nested(self.climb, "arith")
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -332,7 +343,7 @@ class _Parser:
             if name == "shadow":
                 self.next()
                 self.expect("(")
-                child = self.nested(self.expr)
+                child = self.nested(self.climb, "arith")
                 self.expect(")")
                 return ShadowOf(child)
             if self.mode == "ext":
@@ -351,35 +362,13 @@ class _Parser:
             raise ParseError(f"unknown name {name!r}", tok.line, tok.col)
         self.fail(f"unexpected {tok.text or 'end of input'!r}")
 
-    # -- set layer ------------------------------------------------------
-
-    def set_expr(self):
-        node = self.set_inter()
-        while self.peek().kind == "|":
-            self.next()
-            node = OrP(node, self.set_inter())
-        return node
-
-    def set_inter(self):
-        node = self.set_neg()
-        while self.peek().kind == "&":
-            self.next()
-            node = AndP(node, self.set_neg())
-        return node
-
-    def set_neg(self):
-        if self.peek().kind == "~":
-            self.next()
-            return NotP(self.nested(self.set_neg))
-        return self.set_atom()
-
     def set_atom(self):
         tok = self.peek()
         if tok.kind == "[":
             return self.interval()
         if tok.kind == "{":
             self.next()
-            value = self.expr()
+            value = self.climb("arith")
             self.expect("}")
             return Singleton(value)
         if tok.kind == "(":
@@ -389,7 +378,7 @@ class _Parser:
             except ParseError:
                 self.pos, self.depth = save
             self.next()
-            node = self.nested(self.set_expr)
+            node = self.nested(self.climb, "set")
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -399,7 +388,7 @@ class _Parser:
             if tok.text == "monad":
                 self.next()
                 self.expect("(")
-                center = self.expr()
+                center = self.climb("arith")
                 self.expect(")")
                 return MonadOf(center)
         self.fail("expected a set expression")
@@ -407,9 +396,9 @@ class _Parser:
     def interval(self):
         opener = self.next()
         lo_closed = opener.kind == "["
-        lo = self.expr()
+        lo = self.climb("arith")
         self.expect(",")
-        hi = self.expr()
+        hi = self.climb("arith")
         closer = self.peek()
         if closer.kind not in (")", "]"):
             self.fail("expected ')' or ']' to close the interval")
@@ -428,60 +417,44 @@ def _bounded(node, tok):
     return node
 
 
-def parse(text: str, mode: str = "germ"):
-    """Parse ``text`` in the given mode and return its AST."""
-    if mode not in ("germ", "family", "ext", "set", "kset"):
+def _parse(text, mode, items):
+    """The expressions of ``text`` in ``mode``'s layer: one, or with
+    ``items`` a comma-separated list of them."""
+    if mode not in _MODE_VARS:
         raise ValueError(f"unknown mode {mode!r}")
     parser = _Parser(_tokenize(text), mode)
-    if mode in ("set", "kset"):
-        node = parser.set_expr()
-    else:
-        node = parser.expr()
+    layer = "set" if mode in ("set", "kset") else "arith"
+    nodes = [parser.climb(layer)]
+    while items and parser.peek().kind == ",":
+        parser.next()
+        nodes.append(parser.climb(layer))
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return _bounded(node, tok)
+    return tuple(_bounded(node, tok) for node in nodes)
+
+
+def parse(text: str, mode: str = "germ"):
+    """Parse ``text`` in the given mode and return its AST."""
+    return _parse(text, mode, False)[0]
 
 
 def parse_items(text: str, mode: str = "germ"):
     """Parse a comma-separated list of expressions."""
-    parser = _Parser(_tokenize(text), mode)
-    items = [parser.expr()]
-    while parser.peek().kind == ",":
-        parser.next()
-        items.append(parser.expr())
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return tuple(_bounded(item, tok) for item in items)
+    return _parse(text, mode, True)
 
 
 # -- pretty printer -----------------------------------------------------
 
-_OR, _AND, _NOT = 1, 2, 3
-_ADD, _MUL, _NEG, _POW, _ATOM = 4, 5, 6, 7, 10
-
 
 def _prec(node):
-    if isinstance(node, Num):
-        if node.value.denominator != 1:
-            return _MUL
-        return _ATOM if node.value >= 0 else _NEG
-    if isinstance(node, (Add, Sub)):
-        return _ADD
-    if isinstance(node, (Mul, Div)):
-        return _MUL
-    if isinstance(node, Neg):
-        return _NEG
-    if isinstance(node, Pow):
-        return _POW
-    if isinstance(node, OrP):
-        return _OR
-    if isinstance(node, AndP):
-        return _AND
-    if isinstance(node, NotP):
-        return _NOT
-    return _ATOM
+    """The table precedence of ``node``'s top operator; atoms bind tightest."""
+    kind = type(node)
+    if kind is Num:
+        # a fraction prints as a quotient, a negative integer as a negation
+        kind = Div if node.value.denominator != 1 else Neg if node.value < 0 else Num
+    op = _BY_NODE.get(kind)
+    return math.inf if op is None else op.prec
 
 
 def _wrap(node, parent_prec, right=False):
@@ -494,33 +467,28 @@ def _wrap(node, parent_prec, right=False):
 
 def format(node) -> str:
     """Render an AST with canonical spacing and minimal parentheses."""
+    op = _BY_NODE.get(type(node))
+    if op is not None:
+        if op.fix == "prefix":
+            return op.spelling + _wrap(node.child, op.prec)
+        if op.fix == "postfix":
+            # the grammar allows only atoms as bases, so anything else
+            # gets parenthesised (including another power)
+            return _wrap(node.base, math.inf) + op.spelling + str(node.exp)
+        # walk the left spine of this level in a loop, so a long chain
+        # does not recurse: an equal-precedence left operand never takes
+        # parentheses
+        level, parts = op.prec, []
+        while op is not None and op.prec == level:
+            parts.append(op.spelling + _wrap(node.right, level, right=True))
+            node = node.left
+            op = _BY_NODE.get(type(node))
+        parts.append(_wrap(node, level))
+        return "".join(reversed(parts))
     if isinstance(node, Num):
         return str(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.child, _NEG)
-    if isinstance(node, (Add, Sub)):
-        # walk the left spine in a loop, so a long sum does not recurse:
-        # an equal-precedence left operand never takes parentheses
-        parts = []
-        while isinstance(node, (Add, Sub)):
-            op = " + " if isinstance(node, Add) else " - "
-            parts.append(op + _wrap(node.right, _ADD, right=True))
-            node = node.left
-        parts.append(_wrap(node, _ADD))
-        return "".join(reversed(parts))
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _MUL)}*{_wrap(node.right, _MUL, right=True)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _MUL)}/{_wrap(node.right, _MUL, right=True)}"
-    if isinstance(node, Pow):
-        # the grammar allows only atoms as bases, so anything below
-        # atom precedence gets parenthesised (including another power)
-        base = format(node.base)
-        if _prec(node.base) < _ATOM:
-            base = f"({base})"
-        return f"{base}^{node.exp}"
     if isinstance(node, ShadowOf):
         return f"shadow({format(node.child)})"
     if isinstance(node, NeutrixLit):
@@ -536,12 +504,6 @@ def format(node) -> str:
         return node.name
     if isinstance(node, MonadOf):
         return f"monad({format(node.center)})"
-    if isinstance(node, NotP):
-        return "~" + _wrap(node.child, _NOT)
-    if isinstance(node, AndP):
-        return f"{_wrap(node.left, _AND)} & {_wrap(node.right, _AND, right=True)}"
-    if isinstance(node, OrP):
-        return f"{_wrap(node.left, _OR)} | {_wrap(node.right, _OR, right=True)}"
     raise TypeError(f"not an AST node: {node!r}")
 
 

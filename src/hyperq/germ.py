@@ -33,8 +33,9 @@ before it falls back to the primitive PRS over Z (see ``_poly``).  The
 gcd is primitive, so the quotients by it are integral.
 
 Products, quotients, sums and powers whose degree would pass
-``MAX_DEGREE`` are refused before they are computed, so that no input
-runs for ever.
+``MAX_DEGREE`` are refused before they are computed, and so are those
+of families whose products would cost more than ``MAX_FAMILY_WORK``
+multiply-adds, so that no input runs for ever.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ from .errors import DegenerateDiagonalError, EngineError, ZeroGermError
 MAX_EXPONENT = 1000
 # Largest degree of a germ or family product, quotient, sum or power.
 MAX_DEGREE = 2 * MAX_EXPONENT
+# Largest number of multiply-adds that one product of a family sum,
+# product, quotient or power may cost: ``_poly.b_mul`` multiplies each
+# nonzero term of one operand by every stored coefficient of the other.
+MAX_FAMILY_WORK = 8_000_000
 
 
 def _check_exponent(n):
@@ -67,6 +72,18 @@ def _check_degree(d):
     power at most |n| times the operand's."""
     if d > MAX_DEGREE:
         raise EngineError(f"degree {d} exceeds the limit of {MAX_DEGREE}")
+
+
+def _check_work(a, b):
+    """Refuse, before it is computed, a family operation on operands of
+    sizes a and b, each (nonzero terms, stored coefficients) of numerator
+    and denominator together.  The degree cap leaves this work free to
+    grow with the cube of the degree."""
+    work = max(a[0] * b[1], a[1] * b[0])
+    if work > MAX_FAMILY_WORK:
+        raise EngineError(
+            f"family operation costing {work} multiply-adds exceeds the limit of {MAX_FAMILY_WORK}"
+        )
 
 
 class InfiniteShadow:
@@ -428,6 +445,22 @@ class BivariateGerm:
     def _degree(self) -> int:
         return max(P.b_degree(self.num), P.b_degree(self.den))
 
+    def _size(self, m=1) -> tuple:
+        """The nonzero terms and the stored coefficients of num^m and
+        den^m together: exact for m = 1, else bounds.  A power fits in
+        the box of its degrees in k and in w, and a multinomial m-th
+        power of t terms has at most comb(m + t - 1, t - 1) of them."""
+        terms = coeffs = 0
+        for a in (self.num, self.den):
+            c = sum(map(len, a))
+            t = c - sum(p.count(0) for p in a)
+            if m != 1 and t:
+                c = (m * (len(a) - 1) + 1) * (m * (max(map(len, a)) - 1) + 1)
+                t = min(math.comb(m + t - 1, t - 1), c)
+            terms += t
+            coeffs += c
+        return terms, coeffs
+
     @staticmethod
     def from_germ(g: Germ) -> "BivariateGerm":
         return BivariateGerm(P.b_const(g.num), P.b_const(g.den))
@@ -447,6 +480,7 @@ class BivariateGerm:
         if other is NotImplemented:
             return NotImplemented
         _check_degree(self._degree() + other._degree())
+        _check_work(self._size(), other._size())
         return BivariateGerm(
             P.b_add(P.b_mul(self.num, other.den), P.b_mul(other.num, self.den)),
             P.b_mul(self.den, other.den),
@@ -471,6 +505,7 @@ class BivariateGerm:
         if other is NotImplemented:
             return NotImplemented
         _check_degree(self._degree() + other._degree())
+        _check_work(self._size(), other._size())
         return BivariateGerm(
             P.b_mul(self.num, other.num), P.b_mul(self.den, other.den)
         )
@@ -484,6 +519,7 @@ class BivariateGerm:
         if not other.num:
             raise ZeroDivisionError("division by the zero family")
         _check_degree(self._degree() + other._degree())
+        _check_work(self._size(), other._size())
         return BivariateGerm(
             P.b_mul(self.num, other.den), P.b_mul(self.den, other.num)
         )
@@ -499,6 +535,9 @@ class BivariateGerm:
             return NotImplemented
         _check_exponent(n)
         _check_degree(abs(n) * self._degree())
+        # as if a^|n| were one product of its two halves
+        half = abs(n) // 2
+        _check_work(self._size(abs(n) - half), self._size(half))
         if n < 0:
             return BivariateGerm.constant(1) / self ** (-n)
         return BivariateGerm(P.b_pow(self.num, n), P.b_pow(self.den, n))

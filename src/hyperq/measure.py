@@ -112,6 +112,13 @@ class Piece:
     def is_empty(self) -> bool:
         return _order(*_cuts((self,))) >= 0
 
+    def at(self, k: int) -> "Piece":
+        """The member at index k of a piece whose endpoints are germs in
+        k: a constant endpoint is kept, and each other one is evaluated
+        once."""
+        lo, hi = (g if g.is_constant() else Germ.constant(g.evaluate(k)) for g in (self.lo, self.hi))
+        return Piece(lo, hi, self.lo_closed, self.hi_closed)
+
 
 def _stray_end(p: Piece) -> Optional[Germ]:
     """An endpoint of p below 0 or above 1, if there is one."""
@@ -346,16 +353,7 @@ class SigmaFamily:
     def at(self, k: int) -> InternalSet:
         if self.generator is not None:
             return self.generator(k)
-        pieces = [
-            Piece(
-                Germ.constant(s.lo.evaluate(k)),
-                Germ.constant(s.hi.evaluate(k)),
-                s.lo_closed,
-                s.hi_closed,
-            )
-            for s in self.schema
-        ]
-        return InternalSet(pieces, self.timeline)
+        return InternalSet([s.at(k) for s in self.schema], self.timeline)
 
 
 @dataclass(frozen=True)

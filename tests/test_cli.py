@@ -10,7 +10,7 @@ import hyperq
 from helpers import empty_quotient_membership, forbid_quotients
 from hyperq import exprlang, finmodel
 from hyperq.cli import DOMAIN, OK, PARSE, USAGE, main, run_command
-from hyperq.germ import MAX_DEGREE, MAX_EXPONENT
+from hyperq.germ import MAX_DEGREE, MAX_EXPONENT, MAX_FAMILY_WORK
 from hyperq.hull import MAX_CHECK_DEPTH
 
 
@@ -297,6 +297,27 @@ def test_degree_beyond_the_limit_is_refused_at_once(capsys, argv, degree):
     start = time.process_time()
     _assert_domain_error(capsys, argv, f"error: degree {degree} exceeds the limit of {MAX_DEGREE}")
     assert time.process_time() - start < 1
+
+
+def test_family_work_beyond_the_limit_is_refused_at_once(capsys):
+    # total degree 1000 passes the degree cap, but the power would form
+    # about 10^8 multiply-adds of coefficients
+    message = ("error: family operation costing 126003004 multiply-adds exceeds the limit of "
+               f"{MAX_FAMILY_WORK}")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperq.cli", "hull", "limit", "(k+w)^1000/w^1000"],
+        capture_output=True, text=True, timeout=60, env=_env_with_package(),
+    )
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout) == (DOMAIN, message + "\n")
+    _assert_domain_error(capsys, ["hull", "limit", "(k+w)^1000/w^1000"], message)
+
+
+def test_family_work_below_the_limit_is_unchanged():
+    r = run("hull", "limit", "(k+w)^80/w^80")
+    assert r.exit_code == DOMAIN
+    assert r.text == "error: limit is 1208925819614629174706175 from member at tolerance 1/1"
 
 
 def test_high_degree_quotient_is_fast(capsys):

@@ -107,6 +107,15 @@ def family(lo, hi, **kw):
     return C.CodedFamily(parse_germ_in_k(lo), parse_germ_in_k(hi), **kw)
 
 
+def test_family_members_evaluate_only_the_endpoints_in_k(monkeypatch):
+    evaluated = []
+    evaluate = Germ.evaluate
+    monkeypatch.setattr(Germ, "evaluate", lambda g, n: evaluated.append(g) or evaluate(g, n))
+    member = family("1/2", "1 - 1/k").at(4)
+    assert C.equivalent(member, coded("[1/2, 3/4]"))
+    assert [str(g) for g in evaluated] == ["(w - 1)/w"]
+
+
 def test_union_of_growing_intervals():
     r = C.countable_ops(family("1/k", "1"), "union")
     assert C.membership(r.set, Germ.constant(Fraction(1, 2)))

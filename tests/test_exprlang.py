@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,26 @@ def test_set_grouping_vs_interval():
 def test_parse_items():
     items = E.parse_items("1 + 1/w, 1/w, 3")
     assert len(items) == 3
+
+
+def test_parse_items_checks_the_mode_and_parses_its_layer():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        E.parse_items("1", "bogus")
+    assert E.parse_items("[0,1], limited | std", "set") == (
+        E.Interval(E.Num(Fraction(0)), E.Num(Fraction(1)), True, True),
+        E.OrP(E.PredAtom("limited"), E.PredAtom("std")),
+    )
+
+
+def test_grammar_states_the_operator_tables_precedence():
+    text = " ".join((Path(__file__).parents[1] / "docs" / "grammar.ebnf").read_text(encoding="utf-8").split())
+    line = text.split("Precedence, tightest first:", 1)[1].split(".", 1)[0]
+    documented = [re.findall(r'"([^"]+)"', level) for level in line.split(",")]
+    levels = {}
+    for op in E._OPERATORS:  # tightest first
+        levels.setdefault(op.prec, []).append(op.token)
+    assert list(levels) == sorted(levels, reverse=True)
+    assert documented == list(levels.values())
 
 
 # -- the round-trip property ---------------------------------------------

@@ -12,6 +12,7 @@ from hyperq.errors import DegenerateDiagonalError, EngineError, ZeroGermError
 from hyperq.germ import (
     MAX_DEGREE,
     MAX_EXPONENT,
+    MAX_FAMILY_WORK,
     NEG_INF,
     OMEGA,
     POS_INF,
@@ -354,6 +355,21 @@ def test_degree_beyond_the_limit_is_refused_before_it_is_computed(monkeypatch):
                   lambda: inv_a ** -2, lambda: g * f, lambda: g / inv_f, lambda: g + inv_f,
                   lambda: g ** 2, lambda: fw * g):
         with pytest.raises(EngineError, match=f"exceeds the limit of {MAX_DEGREE}"):
+            build()
+
+
+def test_family_work_beyond_the_limit_is_refused_before_it_is_computed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a family product was computed")
+
+    # 100 coefficients in k, each a polynomial in w of 100 nonzero terms
+    dense = BivariateGerm(tuple(tuple(range(1, 101)) for _ in range(100)))
+    assert (dense * 2).at_k(0) == Germ(tuple(range(2, 202, 2)))  # 10^4 x 1 pairs: allowed
+    for name in ("b_mul", "b_pow"):
+        monkeypatch.setattr(P, name, refuse)
+    for build in (lambda: dense + dense, lambda: dense * dense, lambda: dense / dense,
+                  lambda: dense ** 2, lambda: dense ** -2):
+        with pytest.raises(EngineError, match=f"exceeds the limit of {MAX_FAMILY_WORK}"):
             build()
 
 

@@ -315,6 +315,19 @@ def test_undecidable_limit_is_reported_honestly():
         M.sigma_limit(fam, 8)
 
 
+def test_schema_members_evaluate_only_the_endpoints_in_k(monkeypatch):
+    family, _ = M.parse_sigma_file(
+        "mode: increasing\npiece: [0, 1/10]\npiece: [1/5, 3/10]\npiece: [1/2, 1 - 1/(k+1)]\n")
+    evaluated = []
+    evaluate = Germ.evaluate
+    monkeypatch.setattr(Germ, "evaluate", lambda g, n: evaluated.append(g) or evaluate(g, n))
+    member = family.at(3)
+    assert member == M.InternalSet([M.Piece(Germ.constant(0), Germ.constant(Fraction(1, 10))),
+                                    M.Piece(Germ.constant(Fraction(1, 5)), Germ.constant(Fraction(3, 10))),
+                                    M.Piece(Germ.constant(Fraction(1, 2)), Germ.constant(Fraction(3, 4)))])
+    assert [str(g) for g in evaluated] == ["w/(w + 1)"]
+
+
 def test_sigma_file_roundtrip(tmp_path):
     schema = tmp_path / "family.sigma"
     schema.write_text("mode: increasing\nstart: 1\ndepth: 8\npiece: [1/k, 1]\n")
