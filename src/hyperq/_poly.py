@@ -9,8 +9,8 @@
 # that divides a power of the divisor's leading coefficient and is 1
 # for an exact division with an integral quotient.  A germ's rational
 # coefficients live in the ratio of its numerator and denominator (see
-# germ.py), so only eval_at and cauchy_bound, which return rational
-# values, build a Fraction.
+# germ.py), so only eval_at, which returns a rational value, builds a
+# Fraction.
 #
 # gcd returns the gcd that is primitive with a positive leading
 # coefficient, unique among its rational multiples.  It skips all
@@ -260,11 +260,13 @@ def pow_(p, n):
 
 
 def cauchy_bound(p):
-    # All real roots of p lie in [-B, B]; 0 for (near-)constant p.
+    # An integer B with every real root of p in (-B, B): the Cauchy
+    # bound 1 + max|c|/|lc| is below its floor plus 1.  1 for a
+    # (near-)constant p.
     if degree(p) <= 0:
-        return Fraction(0)
+        return 1
     worst = max(abs(c) for c in p[:-1])
-    return 1 + Fraction(worst, abs(lc(p)))
+    return 2 + worst // abs(lc(p))
 
 
 def least_negative(p, start):
@@ -304,7 +306,7 @@ def least_negative(p, start):
         signs = [v > 0 for v in (_horner(f, x) for f in chain) if v]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    ranges = [(start, max(start, int(cauchy_bound(p)) + 1))]
+    ranges = [(start, max(start, cauchy_bound(p)))]
     while ranges:  # leftmost range last, so the first hit is the least
         a, b = ranges.pop()
         if negative_at(a):

@@ -136,10 +136,12 @@ def _cmd_measure(rest):
     sigma_file = _take_flag(rest, "--sigma")
     depth = _int_flag(rest, "--depth")
     if sigma_file is not None:
+        if rest:
+            raise _Usage(f"unexpected arguments: {' '.join(rest)}")
         with open(sigma_file, "r", encoding="utf-8") as handle:
             family, file_depth = measure.parse_sigma_file(handle.read())
         if depth is None:
-            depth = file_depth or 12
+            depth = 12 if file_depth is None else file_depth
         cert = measure.sigma_limit(family, depth)
         return _ok(
             "measure",
@@ -150,6 +152,8 @@ def _cmd_measure(rest):
             derivation=cert.derivation,
             values=[{"k": k, **_frac(v)} for k, v in cert.values],
         )
+    if depth is not None:
+        raise _Usage("--depth applies only to --sigma")
     expr = _one_arg(rest, "set expression")
     node = exprlang.parse(expr, "set")
     x = measure.internal_set_from_ast(node)

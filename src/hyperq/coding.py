@@ -11,14 +11,15 @@ and equality are decided by reducing the standard list to its trace on
 the rationals and letting the other forget on which side of a standard
 point its cuts sit; two sets are equal exactly when the reduced lists
 are.  Countable unions and intersections of families proved monotone
-by exact root counting cut at the monads of their limits.
+by exact root counting cut at the monads of their limits.  A coded set
+is its normal form alone and carries no label: all coded sets are sets
+of germs in w, and any two combine.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from . import _poly as P
 from . import exprlang as E
 from . import extnum as X
 from . import germ as G
-from .errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
+from .errors import EngineError, NonMonotoneGeneratorError
 from .germ import Germ
 from .measure import _KEEP, Piece, _cuts, _order, _sweep, piece_of
 
@@ -87,16 +88,15 @@ _ATOMS = {"limited": _convex((_GALAXY, 0), (_GALAXY, 1)), "inf": monad(G.ZERO),
 @dataclass(frozen=True)
 class CodedSet:
     predicate: Cuts  # the normal form
-    universe: str = "V"
 
     def __eq__(self, other):
-        """Set equality: the same universe and the same reduced form."""
+        """Set equality: the same reduced form."""
         if not isinstance(other, CodedSet):
             return NotImplemented
-        return self.universe == other.universe and _reduce(self.predicate) == _reduce(other.predicate)
+        return _reduce(self.predicate) == _reduce(other.predicate)
 
     def __hash__(self):
-        return hash((self.universe, _reduce(self.predicate)))
+        return hash(_reduce(self.predicate))
 
     def __str__(self):
         return E.format(predicate_to_ast(self.predicate))
@@ -110,15 +110,9 @@ def membership(s: CodedSet, a: Germ) -> bool:
 
 def setops(s1: CodedSet, s2: CodedSet, op: str) -> CodedSet:
     """union | intersection | difference, one sweep per cut list."""
-    if s1.universe != s2.universe:
-        raise UniverseMismatchError(f"universes differ: {s1.universe!r} vs {s2.universe!r}")
     if op not in _KEEP:
         raise ValueError(f"unknown set operation {op!r}")
-    return CodedSet(s1.predicate.combine(s2.predicate, op), s1.universe)
-
-
-def empty_set(universe: str = "V") -> CodedSet:
-    return CodedSet(Cuts((), ()), universe)
+    return CodedSet(s1.predicate.combine(s2.predicate, op))
 
 
 # -- exact decisions -------------------------------------------------------
@@ -165,7 +159,7 @@ def _reduce(pred: Cuts) -> Cuts:
 
 def normal_form(s: CodedSet) -> CodedSet:
     """The reduced normal form."""
-    return CodedSet(_reduce(s.predicate), s.universe)
+    return CodedSet(_reduce(s.predicate))
 
 
 def is_empty(s: CodedSet) -> bool:
@@ -177,23 +171,8 @@ def subset(s1: CodedSet, s2: CodedSet) -> bool:
 
 
 def equivalent(s1: CodedSet, s2: CodedSet) -> bool:
-    """Sets over different universes are never equivalent."""
+    """Set equality, decided on the reduced forms."""
     return s1 == s2
-
-
-def standard_catalog():
-    """Germs spanning every classification tag, a cross-check for the
-    exact decisions."""
-    w, one, c = G.OMEGA, G.ONE, Germ.constant
-    items = [c(q) for q in (0, 1, -1, Fraction(1, 2), Fraction(-1, 3), 2, -2,
-                            Fraction(7, 3), Fraction(1, 4), Fraction(3, 4), 1000000)]
-    items += [g for q in (1, -1, Fraction(1, 2), -2, Fraction(1, 3))
-              for g in (c(q) / w, c(q) / (w * w), c(q) * w)]
-    items += [g for q in (Fraction(1, 2), 1, 2, -1, Fraction(1, 4))
-              for g in (c(q) + one / w, c(q) - one / (w * w))]
-    items += [(2 * w + 3) / (w + 1), w / (w + 1), w * w + w, -(w * w) + 1,
-              one / (w + 1), (w + 2) / (w ** 3 - w)]
-    return tuple(items)
 
 
 # -- countable operations over monotone interval families ----------------
@@ -208,11 +187,10 @@ class CodedFamily:
     lo_closed: bool = True
     hi_closed: bool = True
     start: int = 1
-    universe: str = "V"
 
     def at(self, k: int) -> CodedSet:
         member = Piece(self.lo, self.hi, self.lo_closed, self.hi_closed).at(k)
-        return CodedSet(_convex(*_cuts((member,))), self.universe)
+        return CodedSet(_convex(*_cuts((member,))))
 
 
 @dataclass(frozen=True)
@@ -267,7 +245,7 @@ def countable_ops(family: CodedFamily, op: str) -> CountableOpResult:
     union = op == "union"
     lo_cut = (X.make(lo, X.M0), int(union)) if lo_dir else (lo, int(not family.lo_closed))
     hi_cut = (X.make(hi, X.M0), int(not union)) if hi_dir else (hi, int(family.hi_closed))
-    return CountableOpResult(CodedSet(_convex(lo_cut, hi_cut), family.universe), op, family)
+    return CountableOpResult(CodedSet(_convex(lo_cut, hi_cut)), op, family)
 
 
 def union_witness_bound(result: CountableOpResult, a: Germ) -> int:
@@ -304,62 +282,62 @@ def union_witness(result: CountableOpResult, a: Germ):
 # -- parsing and printing ---------------------------------------------------
 
 
-def predicate_from_ast(node, var: str = "w") -> Cuts:
+def predicate_from_ast(node) -> Cuts:
     def atom(leaf):
         if isinstance(leaf, E.PredAtom):
             return _ATOMS[leaf.name]
         if isinstance(leaf, E.MonadOf):
-            return monad(E.to_germ(leaf.center, var))
-        p = piece_of(leaf, var)
+            return monad(E.to_germ(leaf.center))
+        p = piece_of(leaf)
         return InInterval(p.lo, p.hi, p.lo_closed, p.hi_closed)
 
     return E.fold(node, atom, E.SET_OPS)
 
 
-def predicate_to_ast(pred: Cuts, var: str = "w"):
+def predicate_to_ast(pred: Cuts):
     """A set expression whose normal form is ``pred``."""
     std, rest = pred
     if std == rest:
-        return _cuts_ast(std, var)
+        return _cuts_ast(std)
     parts = zip((E.PredAtom("std"), E.NotP(E.PredAtom("std"))), (std, rest))
-    return reduce(E.OrP, [p if cuts == _WHOLE else E.AndP(p, _cuts_ast(cuts, var))
+    return reduce(E.OrP, [p if cuts == _WHOLE else E.AndP(p, _cuts_ast(cuts))
                           for p, cuts in parts if cuts])
 
 
-def _cuts_ast(cuts: tuple, var: str):
+def _cuts_ast(cuts: tuple):
     if not cuts:
         return E.AndP(E.PredAtom("inf"), E.NotP(E.PredAtom("limited")))
     if cuts[0] == _WHOLE[0]:  # a complement
-        return E.NotP(_cuts_ast(tuple(_sweep(_WHOLE, cuts, _KEEP["difference"])), var))
-    return reduce(E.OrP, (_piece_ast(cuts[i], cuts[i + 1], var) for i in range(0, len(cuts), 2)))
+        return E.NotP(_cuts_ast(tuple(_sweep(_WHOLE, cuts, _KEEP["difference"]))))
+    return reduce(E.OrP, (_piece_ast(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)))
 
 
-def _piece_ast(lo, hi, var: str):
+def _piece_ast(lo, hi):
     """The germs between two cuts.  At an external end they are written
     as the germs above lo and below hi in [-B, B], B = w^K beyond both."""
     (a, s), (b, t) = lo, hi
     if a == b:
-        return E.Singleton(E.germ_to_ast(a, var)) if isinstance(a, Germ) else _blob_ast(a, var)
+        return E.Singleton(E.germ_to_ast(a)) if isinstance(a, Germ) else _blob_ast(a)
     if isinstance(a, Germ) and isinstance(b, Germ):
-        return E.Interval(E.germ_to_ast(a, var), E.germ_to_ast(b, var), s == 0, t == 1)
+        return E.Interval(E.germ_to_ast(a), E.germ_to_ast(b), s == 0, t == 1)
     bound = G.OMEGA ** (1 + max(0, *(G.valuation(getattr(x, "center", x)) or 0 for x in (a, b))))
     halves = []
     for (x, side), above, end in ((lo, True, bound), (hi, False, -bound)):
         inner = side != above  # the cut takes in its own centre
-        ends = E.germ_to_ast(getattr(x, "center", x), var), E.germ_to_ast(end, var)
+        ends = E.germ_to_ast(getattr(x, "center", x)), E.germ_to_ast(end)
         half = E.Interval(*ends, inner, True) if above else E.Interval(*ends[::-1], True, inner)
         if isinstance(x, X.ExternalNumber):
-            blob = _blob_ast(x, var)
+            blob = _blob_ast(x)
             half = E.OrP(half, blob) if inner else E.AndP(half, E.NotP(blob))
         halves.append(half)
     return E.AndP(*halves)
 
 
-def _blob_ast(x: X.ExternalNumber, var: str):
+def _blob_ast(x: X.ExternalNumber):
     if x == _GALAXY:
         return E.PredAtom("limited")
-    return E.PredAtom("inf") if x.center.is_zero() else E.MonadOf(E.germ_to_ast(x.center, var))
+    return E.PredAtom("inf") if x.center.is_zero() else E.MonadOf(E.germ_to_ast(x.center))
 
 
-def parse_predicate(text: str, universe: str = "V") -> CodedSet:
-    return CodedSet(predicate_from_ast(E.parse(text, "set")), universe)
+def parse_predicate(text: str) -> CodedSet:
+    return CodedSet(predicate_from_ast(E.parse(text, "set")))

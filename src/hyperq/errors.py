@@ -25,10 +25,6 @@ class ModulusViolationError(EngineError):
     """A declared Cauchy modulus failed its sampled certificate."""
 
 
-class UniverseMismatchError(EngineError):
-    """Coded sets over different universes cannot be combined."""
-
-
 class NonMonotoneGeneratorError(EngineError):
     """A set family declared monotone is not."""
 

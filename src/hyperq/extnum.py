@@ -49,10 +49,6 @@ M0 = Neutrix(-1)  # monad of 0: the infinitesimals
 G0 = Neutrix(0)  # galaxy of 0: the limited germs
 
 
-def graded(grade: int) -> Neutrix:
-    return Neutrix(grade)
-
-
 def neutrix_add(n: Neutrix, m: Neutrix) -> Neutrix:
     return n if n.grade >= m.grade else m
 
@@ -111,10 +107,6 @@ def make(center: Germ, neutrix: Neutrix = ZERO_N) -> ExternalNumber:
     return ExternalNumber(_truncate(center, neutrix), neutrix)
 
 
-def canonicalize(x: ExternalNumber) -> ExternalNumber:
-    return make(x.center, x.neutrix)
-
-
 def extnum_add(x: ExternalNumber, y: ExternalNumber) -> ExternalNumber:
     return make(x.center + y.center, neutrix_add(x.neutrix, y.neutrix))
 
@@ -165,7 +157,7 @@ def _leaf(node) -> ExternalNumber:
         if abs(node.grade) > G.MAX_EXPONENT:
             raise EngineError(f"neutrix grade {node.grade} exceeds the limit of "
                               f"{G.MAX_EXPONENT} in absolute value")
-        return make(G.ZERO, graded(node.grade))
+        return make(G.ZERO, Neutrix(node.grade))
     if not E.fold(node, lambda n: isinstance(n, E.NeutrixLit), _HOLDS):
         return make(E.to_germ(node))
     if isinstance(node, E.ShadowOf):

@@ -417,11 +417,7 @@ def eventually_threshold(a: Germ) -> int:
     """
     if a.is_zero():
         raise ZeroGermError("the zero germ has no eventual sign")
-    prod = P.mul(a.num, a.den)
-    if P.degree(prod) == 0:
-        return 1
-    bound = P.cauchy_bound(prod)
-    return int(bound) + 1
+    return P.cauchy_bound(P.mul(a.num, a.den))
 
 
 class BivariateGerm:

@@ -1,10 +1,11 @@
 """The hyperfinite time line, its Loeb and Lebesgue measures, and the cut
 algebra its internal sets share with coded sets.
 
-The time line is the grid {i/N : 0 <= i <= N} for an unlimited germ N
-(default w).  An internal set is a union of germ-endpoint intervals
-inside [0,1], intersected with the grid, and it is stored as its normal
-form alone: a sorted list of cuts, two per piece.  A cut (g, side) lies
+The time line is the grid {i/w : 0 <= i <= w}; the Loeb value does not
+depend on which unlimited size the grid has, so there is one.  An
+internal set is a union of germ-endpoint intervals inside [0,1],
+intersected with the grid, and it is stored as its normal form alone: a
+sorted list of cuts, two per piece.  A cut (g, side) lies
 just below g (side 0) or just above it (side 1), so a closed lower end
 or an open upper end at g is the cut (g, 0), and an open lower end or a
 closed upper end is (g, 1).  Coded sets also cut below or above a whole
@@ -49,22 +50,10 @@ from .errors import (
 )
 from .extnum import ZERO_N, ExternalNumber, extnum_order
 from .germ import Germ
-from .hull import check_depth_bound, is_natural_germ
+from .hull import check_depth_bound
 
 _ZERO = Germ.constant(0)
 _ONE = Germ.constant(1)
-
-
-@dataclass(frozen=True)
-class TimeLine:
-    size: Germ = G.OMEGA
-
-    def __post_init__(self):
-        if not is_natural_germ(self.size) or G.is_limited(self.size):
-            raise EngineError("grid size must be an unlimited natural germ")
-
-
-DEFAULT_TIMELINE = TimeLine()
 
 
 def _order(x, y) -> int:
@@ -153,10 +142,10 @@ _KEEP = {"union": lambda a, b: a or b, "intersection": lambda a, b: a and b,
          "difference": lambda a, b: a and not b}
 
 
-def _from_cuts(cuts, timeline) -> "InternalSet":
+def _from_cuts(cuts) -> "InternalSet":
     """An InternalSet on a cut list that is already normal."""
     x = object.__new__(InternalSet)
-    x.cuts, x.timeline = tuple(cuts), timeline
+    x.cuts = tuple(cuts)
     return x
 
 
@@ -171,9 +160,9 @@ class InternalSet:
     pieces; set-algebra results leave the cut sweep normal.
     """
 
-    __slots__ = ("timeline", "cuts")
+    __slots__ = ("cuts",)
 
-    def __init__(self, pieces, timeline: TimeLine = DEFAULT_TIMELINE):
+    def __init__(self, pieces):
         spans = []
         for p in pieces:
             if not isinstance(p, Piece):
@@ -191,7 +180,6 @@ class InternalSet:
             elif _order(hi, cuts[-1]) > 0:
                 cuts[-1] = hi
         self.cuts = tuple(cuts)
-        self.timeline = timeline
 
     @property
     def pieces(self) -> tuple:
@@ -201,10 +189,10 @@ class InternalSet:
     def __eq__(self, other):
         if not isinstance(other, InternalSet):
             return NotImplemented
-        return self.timeline == other.timeline and self.cuts == other.cuts
+        return self.cuts == other.cuts
 
     def __hash__(self):
-        return hash((self.timeline, self.cuts))
+        return hash(self.cuts)
 
     def __str__(self):
         parts = (f"{'[('[s]}{a},{b}{')]'[t]}" for (a, s), (b, t) in _spans(self.cuts))
@@ -216,9 +204,7 @@ class InternalSet:
     # -- set algebra: one sweep over the cuts of both operands ---------
 
     def _combine(self, other: "InternalSet", op: str) -> "InternalSet":
-        if self.timeline != other.timeline:
-            raise EngineError("sets live on different time lines")
-        return _from_cuts(_sweep(self.cuts, other.cuts, _KEEP[op]), self.timeline)
+        return _from_cuts(_sweep(self.cuts, other.cuts, _KEEP[op]))
 
     def union(self, other: "InternalSet") -> "InternalSet":
         return self._combine(other, "union")
@@ -231,7 +217,7 @@ class InternalSet:
 
     def complement(self) -> "InternalSet":
         """The complement within [0,1]."""
-        return _from_cuts(_sweep(_UNIT, self.cuts, _KEEP["difference"]), self.timeline)
+        return _from_cuts(_sweep(_UNIT, self.cuts, _KEEP["difference"]))
 
     def subset_of(self, other: "InternalSet") -> bool:
         return self.difference(other).is_empty()
@@ -248,9 +234,10 @@ class MeasureValue:
 
 
 def counting_measure(x: InternalSet) -> MeasureValue:
-    """Exact germ bounds on |X|/|T| whose shadows agree, plus that
-    common shadow, the shadow of the summed width, as the Loeb value."""
-    n = x.timeline.size
+    """Exact germ bounds on |X|/|T| for the time line T of size w + 1
+    whose shadows agree, plus that common shadow, the shadow of the
+    summed width, as the Loeb value."""
+    n = G.OMEGA
     width = sum((hi[0] - lo[0] for lo, hi in _spans(x.cuts)), _ZERO)
     slack = Germ.constant(len(x.cuts) // 2)
     lower = (width * n - slack) / (n + 1)
@@ -298,12 +285,12 @@ def piece_of(leaf, var: str = "w") -> Piece:
     raise OutOfAlgebraError("expected intervals, singletons and set operations")
 
 
-def internal_set_from_ast(node, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
-    return E.fold(node, lambda leaf: InternalSet([piece_of(leaf)], timeline), E.SET_OPS)
+def internal_set_from_ast(node) -> InternalSet:
+    return E.fold(node, lambda leaf: InternalSet([piece_of(leaf)]), E.SET_OPS)
 
 
-def parse_internal_set(text: str, timeline: TimeLine = DEFAULT_TIMELINE) -> InternalSet:
-    return internal_set_from_ast(E.parse(text, "set"), timeline)
+def parse_internal_set(text: str) -> InternalSet:
+    return internal_set_from_ast(E.parse(text, "set"))
 
 
 def lebesgue(expr) -> Fraction:
@@ -342,7 +329,6 @@ class SigmaFamily:
     schema: Optional[tuple] = None  # tuple of PieceSchema
     generator: Optional[Callable[[int], InternalSet]] = None
     start: int = 1
-    timeline: TimeLine = DEFAULT_TIMELINE
 
     def __post_init__(self):
         if self.mode not in ("increasing", "decreasing", "disjoint"):
@@ -353,7 +339,7 @@ class SigmaFamily:
     def at(self, k: int) -> InternalSet:
         if self.generator is not None:
             return self.generator(k)
-        return InternalSet([s.at(k) for s in self.schema], self.timeline)
+        return InternalSet([s.at(k) for s in self.schema])
 
 
 @dataclass(frozen=True)
@@ -396,7 +382,7 @@ def _eventual_set(family: SigmaFamily) -> InternalSet:
         if end is not None:
             end = E.format(E.germ_to_ast(end, "k"))
             raise EngineError(f"piece endpoint {end} eventually leaves [0,1]")
-    return InternalSet(family.schema, family.timeline)
+    return InternalSet(family.schema)
 
 
 def _geometric_extension(values, depth):
@@ -468,21 +454,19 @@ def sigma_limit(family: SigmaFamily, depth: int) -> SigmaCertificate:
 # -- stock families --------------------------------------------------------
 
 
-def dyadic_family(timeline: TimeLine = DEFAULT_TIMELINE) -> SigmaFamily:
+def dyadic_family() -> SigmaFamily:
     """The disjoint family (2^-(k+1), 2^-k] for k >= 0; partial sums
     1 - 2^-(k+1) with limit 1."""
 
     def gen(k: int) -> InternalSet:
         lo = Fraction(1, 2 ** (k + 1))
         hi = Fraction(1, 2 ** k)
-        return InternalSet(
-            [Piece(Germ.constant(lo), Germ.constant(hi), False, True)], timeline
-        )
+        return InternalSet([Piece(Germ.constant(lo), Germ.constant(hi), False, True)])
 
-    return SigmaFamily("disjoint", generator=gen, start=0, timeline=timeline)
+    return SigmaFamily("disjoint", generator=gen, start=0)
 
 
-def cantor_family(timeline: TimeLine = DEFAULT_TIMELINE) -> SigmaFamily:
+def cantor_family() -> SigmaFamily:
     """Middle-thirds construction as a decreasing family: step k keeps
     2^k closed pieces of total measure (2/3)^k."""
 
@@ -498,15 +482,9 @@ def cantor_family(timeline: TimeLine = DEFAULT_TIMELINE) -> SigmaFamily:
         return spans
 
     def gen(k: int) -> InternalSet:
-        return InternalSet(
-            [
-                Piece(Germ.constant(lo), Germ.constant(hi), True, True)
-                for lo, hi in step(k)
-            ],
-            timeline,
-        )
+        return InternalSet([Piece(Germ.constant(lo), Germ.constant(hi)) for lo, hi in step(k)])
 
-    return SigmaFamily("decreasing", generator=gen, start=0, timeline=timeline)
+    return SigmaFamily("decreasing", generator=gen, start=0)
 
 
 def interval_family(
@@ -516,7 +494,6 @@ def interval_family(
     lo_closed: bool = True,
     hi_closed: bool = True,
     start: int = 1,
-    timeline: TimeLine = DEFAULT_TIMELINE,
 ) -> SigmaFamily:
     """A single-interval symbolic family with endpoints in k."""
     schema = (
@@ -524,7 +501,7 @@ def interval_family(
             G.parse_germ_in_k(lo_expr), G.parse_germ_in_k(hi_expr), lo_closed, hi_closed
         ),
     )
-    return SigmaFamily(mode, schema=schema, start=start, timeline=timeline)
+    return SigmaFamily(mode, schema=schema, start=start)
 
 
 def parse_sigma_file(text: str):

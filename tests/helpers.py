@@ -5,7 +5,7 @@ import dataclasses
 from fractions import Fraction
 
 from hyperq import finmodel
-from hyperq.germ import Germ
+from hyperq.germ import OMEGA, ONE, Germ
 
 
 def random_fraction(rng, span=9):
@@ -50,6 +50,21 @@ def random_natural_germ(rng, max_deg=2):
     from hyperq.germ import ZERO, compare
 
     return g if compare(g, ZERO) >= 0 else -g
+
+
+def standard_catalog():
+    """Germs spanning every classification tag, a cross-check for the
+    exact decisions on coded sets."""
+    w, one, c = OMEGA, ONE, Germ.constant
+    items = [c(q) for q in (0, 1, -1, Fraction(1, 2), Fraction(-1, 3), 2, -2,
+                            Fraction(7, 3), Fraction(1, 4), Fraction(3, 4), 1000000)]
+    items += [g for q in (1, -1, Fraction(1, 2), -2, Fraction(1, 3))
+              for g in (c(q) / w, c(q) / (w * w), c(q) * w)]
+    items += [g for q in (Fraction(1, 2), 1, 2, -1, Fraction(1, 4))
+              for g in (c(q) + one / w, c(q) - one / (w * w))]
+    items += [(2 * w + 3) / (w + 1), w / (w + 1), w * w + w, -(w * w) + 1,
+              one / (w + 1), (w + 2) / (w ** 3 - w)]
+    return tuple(items)
 
 
 def empty_quotient_membership(monkeypatch):

@@ -86,7 +86,7 @@ germ_parts = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
 @given(germ_parts, germ_parts.filter(any), st.integers(-7, 4))
 def test_truncate_matches_the_series_at_infinity(num, den, grade):
     g = Germ(_poly(num), _poly(den))
-    kept = X._truncate(g, X.graded(grade))
+    kept = X._truncate(g, X.Neutrix(grade))
     expected = _expected_truncation(g, grade)
     got = _sym(kept.num).as_expr() / _sym(kept.den).as_expr()
     assert sympy.cancel(got - expected) == 0
@@ -97,7 +97,7 @@ def test_truncate_matches_the_series_at_infinity(num, den, grade):
 
 @pytest.mark.parametrize("grade", [-12, -3, -1, 0, 2])
 def test_truncate_of_zero_centre_is_zero(grade):
-    assert X._truncate(Germ.constant(0), X.graded(grade)).is_zero()
+    assert X._truncate(Germ.constant(0), X.Neutrix(grade)).is_zero()
 
 
 @pytest.mark.parametrize("text, grade", [
@@ -106,6 +106,6 @@ def test_truncate_of_zero_centre_is_zero(grade):
 ])
 def test_truncate_examples_match_the_series(text, grade):
     g = parse_germ(text)
-    kept = X._truncate(g, X.graded(grade))
+    kept = X._truncate(g, X.Neutrix(grade))
     got = _sym(kept.num).as_expr() / _sym(kept.den).as_expr()
     assert sympy.cancel(got - _expected_truncation(g, grade)) == 0

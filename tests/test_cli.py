@@ -110,6 +110,33 @@ def test_sigma_file(tmp_path):
     assert r.payload["values"][0] == {"k": 1, "num": 0, "den": 1}
 
 
+def test_sigma_file_depth_zero_is_kept(tmp_path):
+    schema = tmp_path / "zero.sigma"
+    schema.write_text("mode: increasing\nstart: 1\ndepth: 0\npiece: [1/k, 1]\n")
+    r = run("measure", "--sigma", str(schema))
+    assert r.exit_code == OK
+    assert r.payload["depth"] == 0
+    assert r.payload["values"] == [{"k": 1, "num": 0, "den": 1}]
+    assert r.payload == run("measure", "--sigma", str(schema), "--depth", "0").payload
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "--sigma", FAMILY, "[0,1]", "junk"], "unexpected arguments: [0,1] junk"),
+    (["measure", "[0,1]", "--sigma", FAMILY], "unexpected arguments: [0,1]"),
+    (["measure", "[0,1]", "--depth", "5"], "--depth applies only to --sigma"),
+    (["measure", "--depth", "5", "[0,1]"], "--depth applies only to --sigma"),
+    (["measure", "--depth"], "--depth needs a value"),
+], ids=["sigma-operands", "sigma-operand-first", "depth-after-set", "depth-before-set",
+        "depth-without-value"])
+def test_measure_refuses_arguments_it_would_ignore(capsys, argv, message):
+    r = run(*argv)
+    assert r.exit_code == USAGE and r.text == f"error: {message}"
+    assert main(["--json", *argv]) == USAGE
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error" and record["code"] == USAGE
+    assert record["error"] == message
+
+
 def test_sigma_mode_is_checked_on_every_member(tmp_path):
     # 20 pieces a member: only the first ~1000 members fit a 20000-piece
     # budget, and the last piece's lower end turns upwards after k = 1200

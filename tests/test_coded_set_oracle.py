@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import standard_catalog
 from hyperq import coding as C
 from hyperq import exprlang as E
 from hyperq import germ as G
@@ -111,7 +112,7 @@ def coded(node):
 @given(trees)
 def test_membership_matches_the_evaluator(node):
     s = coded(node)
-    for g in PROBES + list(C.standard_catalog()):
+    for g in PROBES + list(standard_catalog()):
         assert C.membership(s, g) == holds(node, g), (E.format(node), str(g))
 
 

@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_germ
+from helpers import standard_catalog
 from hyperq import coding as C
-from hyperq.errors import EngineError, NonMonotoneGeneratorError, UniverseMismatchError
+from hyperq.errors import EngineError, NonMonotoneGeneratorError
 from hyperq.germ import OMEGA, Germ, GermClass, classify, parse_germ_in_k
 
 w = OMEGA
 one = Germ.constant(1)
 
 
-def coded(text, universe="V"):
-    return C.parse_predicate(text, universe)
+def coded(text):
+    return C.parse_predicate(text)
 
 
 def test_membership_limited():
@@ -38,7 +38,7 @@ def test_infinitesimal_includes_zero():
 def test_setops_difference_appreciable():
     # limited minus infinitesimal: appreciable or standard-nonzero
     diff = C.setops(coded("limited"), coded("inf"), "difference")
-    for g in C.standard_catalog():
+    for g in standard_catalog():
         expected = classify(g) in (
             GermClass.STANDARD_NONZERO,
             GermClass.APPRECIABLE_NONSTANDARD,
@@ -48,13 +48,13 @@ def test_setops_difference_appreciable():
 
 def test_setops_union_with_empty_is_identity():
     s = coded("limited")
-    u = C.setops(s, C.empty_set(), "union")
+    u = C.setops(s, C.CodedSet(C.Cuts((), ())), "union")
     assert C.equivalent(s, u)
 
 
 def test_standard_and_infinitesimal_is_zero_only():
     meet = C.setops(coded("std"), coded("inf"), "intersection")
-    for g in C.standard_catalog():
+    for g in standard_catalog():
         assert C.membership(meet, g) == g.is_zero()
 
 
@@ -69,17 +69,10 @@ def test_equality_and_hash_agree_with_set_equality(left, right):
     assert C.equivalent(a, b)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    assert coded(left, "A") != coded(right, "B")
     assert a != coded("inf")
 
 
-def test_setops_universe_mismatch():
-    with pytest.raises(UniverseMismatchError):
-        C.setops(coded("limited", "A"), coded("limited", "B"), "union")
-
-
 def test_subset_iff_difference_empty():
-    catalog = C.standard_catalog()
     s1, s2 = coded("inf"), coded("limited")
     assert C.subset(s1, s2)
     assert not C.subset(s2, s1)
@@ -87,7 +80,6 @@ def test_subset_iff_difference_empty():
 
 def test_de_morgan_on_catalog():
     rng = random.Random(23)
-    catalog = C.standard_catalog()
     atoms = [coded("limited"), coded("inf"), coded("std"),
              C.CodedSet(C.InInterval(Germ.constant(0), one, True, False))]
     for _ in range(30):
@@ -127,7 +119,7 @@ def test_union_of_growing_intervals():
 
 def test_union_members_agree_with_exists_semantics():
     r = C.countable_ops(family("1/k", "1"), "union")
-    for g in C.standard_catalog():
+    for g in standard_catalog():
         claimed = C.membership(r.set, g)
         found = any(C.membership(r.family.at(k), g) for k in range(1, 60))
         assert claimed == found
@@ -135,7 +127,7 @@ def test_union_members_agree_with_exists_semantics():
 
 def test_union_witness_bound_is_checked():
     r = C.countable_ops(family("1/k", "1"), "union")
-    for g in C.standard_catalog():
+    for g in standard_catalog():
         if not C.membership(r.set, g):
             continue
         bound = C.union_witness_bound(r, g)
@@ -163,7 +155,7 @@ def test_intersection_keeps_monad():
 
 def test_intersection_members_agree_with_forall_semantics():
     r = C.countable_ops(family("0", "1/k"), "intersection")
-    for g in C.standard_catalog():
+    for g in standard_catalog():
         claimed = C.membership(r.set, g)
         holds = all(C.membership(r.family.at(k), g) for k in range(1, 60))
         assert claimed == holds
@@ -181,7 +173,6 @@ def test_union_of_shrinking_family_rejected():
 
 
 def test_monotonicity_of_coding():
-    catalog = C.standard_catalog()
     rng = random.Random(31)
     base = [coded("limited"), coded("inf"), coded("std")]
     for _ in range(20):

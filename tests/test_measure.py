@@ -80,6 +80,16 @@ def test_bounds_differ_by_an_infinitesimal():
         assert shadow(mv.lower) == mv.loeb == shadow(mv.upper)
 
 
+def test_counting_measure_bounds_are_exact_germs_in_w():
+    # width 5/6 - 1/w - 1/w^2 over two pieces, on the grid {i/w : 0 <= i <= w}
+    mv = M.counting_measure(iset("[1/w, 1/2] | (2/3, 1 - 1/w^2)"))
+    assert mv.lower == (5 * w ** 2 - 18 * w - 6) / (6 * w ** 2 + 6 * w)
+    assert mv.upper == (5 * w ** 2 + 6 * w - 6) / (6 * w ** 2 + 6 * w)
+    assert mv.loeb == Fraction(5, 6)
+    # at w = 600 the grid holds i = 1..300 and i = 401..599 of 601 points
+    assert mv.lower.evaluate(600) <= Fraction(499, 601) <= mv.upper.evaluate(600)
+
+
 def test_counting_measure_reads_loeb_off_its_width(monkeypatch):
     sets = [iset(t) for t in ("[0,1]", "[1/w, 1/2 + 1/w] | (2/3, 1 - 1/w^2)",
                               "{1/3} | [1/2, 1/2 + 1/w)", "~[1/4, 3/4 - 1/w]")]
@@ -112,7 +122,7 @@ def test_piece_outside_unit_interval_rejected():
 
 def test_set_is_its_cut_list():
     x = iset("[1/2,3/4] | {1/w} | (1/4,1/2)")
-    assert M.InternalSet.__slots__ == ("timeline", "cuts")
+    assert M.InternalSet.__slots__ == ("cuts",)
     assert x.cuts == ((one / w, 0), (one / w, 1), (one / 4, 1), (3 * one / 4, 1))
     assert x.pieces == (M.Piece(one / w, one / w), M.Piece(one / 4, 3 * one / 4, False, True))
     assert M.InternalSet(x.pieces) == x
