@@ -46,5 +46,5 @@ cantor = M.sigma_limit(M.cantor_family(), 20)
 print("decreasing Cantor steps: limit", cantor.limit, "by", cantor.derivation)
 print("  measures:", [str(v) for _, v in cantor.values[:6]], "...")
 print("  materialized up to k =", cantor.materialized_to,
-      "(piece counts double each step; the tail extends the verified pattern)")
+      "(members 0 and 1 prove the mode and the ratio; the rest follows by induction)")
 print("  value at k=20:", cantor.values[20][1], "=", Fraction(2, 3) ** 20)

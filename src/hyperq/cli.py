@@ -243,23 +243,24 @@ def _cmd_oracle(rest):
         with open(model_file, "r", encoding="utf-8") as handle:
             base, index = finmodel.parse_model(handle.read())
         report = finmodel.model_sweep(base, index, depth)
-        ok = report.ok
-        counts = {"checks": report.checks, "mismatches": len(report.mismatches)}
+        mismatches = len(report.mismatches)
+        counts = {"checks": report.checks, "mismatches": mismatches}
         text = (f"model: {len(base.carrier)} elements, index {len(index.elements)}, "
-                f"{report.checks} checks, {len(report.mismatches)} mismatches: ")
+                f"{report.checks} checks, {mismatches} mismatches: ")
     else:
         index_size, carrier_size = (3 if value is None else value for value in sizes.values())
         sweeps = {"los": finmodel.los_sweep(index_size, carrier_size, depth),
                   "psi": finmodel.psi_sweep(index_size, carrier_size)}
-        ok = all(r.ok for r in sweeps.values())
+        mismatches = sum(len(r.mismatches) for r in sweeps.values())
         counts = {name: {"instances": r.instances, "checks": r.checks,
                          "mismatches": len(r.mismatches)} for name, r in sweeps.items()}
         text = "".join(f"{name}: {c['instances']} instances, {c['checks']} checks, "
                        f"{c['mismatches']} mismatches\n" for name, c in counts.items())
-    result = _ok("oracle", text + ("PASS" if ok else "FAIL"), passed=ok, **counts)
-    if not ok:
-        result.status = result.payload["status"] = "error"
-        result.exit_code = DOMAIN
+    if not mismatches:
+        return _ok("oracle", text + "PASS", passed=True, **counts)
+    result = _err("oracle", f"oracle found {mismatches} mismatches", DOMAIN)
+    result.text += f"\n{text}FAIL"
+    result.payload.update(passed=False, **counts)
     return result
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .germ import VAR_K, VAR_W, BivariateGerm, Germ, shadow, InfiniteShadow
+from .germ import VAR_K, VAR_W, BivariateGerm, Germ, shadow, InfiniteShadow, _check_exponent
 from . import _poly as P
 from .errors import EngineError
 
@@ -529,6 +529,17 @@ SET_OPS = {NotP: lambda x: x.complement(), AndP: lambda x, y: x.intersect(y),
            OrP: lambda x, y: x.union(y)}
 
 
+def _refuse_large_exponents(node):
+    """Refuse every exponent literal over germ.MAX_EXPONENT before any
+    arithmetic is done: ``fold`` reaches one only after everything to
+    its left."""
+    if type(node) is Pow:
+        _check_exponent(node.exp)
+    if type(node) in ARITH or type(node) is ShadowOf:
+        for child in vars(node).values():
+            _refuse_large_exponents(child)
+
+
 def to_germ(node, var: str = "w") -> Germ:
     """Evaluate an arithmetic AST into a Germ, reading ``var`` as the
     indeterminate."""
@@ -547,6 +558,7 @@ def to_germ(node, var: str = "w") -> Germ:
             return Germ.constant(sh)
         raise EngineError(f"not a germ expression: {format(node)}")
 
+    _refuse_large_exponents(node)
     return fold(node, leaf, ARITH)
 
 
@@ -560,6 +572,7 @@ def _family_leaf(node) -> BivariateGerm:
 
 def to_family(node) -> BivariateGerm:
     """Evaluate a two-variable AST into a k-indexed family of germs."""
+    _refuse_large_exponents(node)
     return fold(node, _family_leaf, ARITH)
 
 

@@ -21,13 +21,16 @@ germ bounds that differ by an infinitesimal; its shadow is the Loeb
 value, and on rational-endpoint sets the Loeb value is the Lebesgue
 measure.
 
-Sigma-additivity is exercised through generated families with
-certificates: exact partial values plus an exact limit.  A monotone
+Sigma-additivity is exercised through families with certificates:
+exact partial values plus an exact limit, each a theorem.  A monotone
 schema family, whose endpoints are germs in the family index k, has as
 its limit the Loeb measure of the set its pieces make as germs in k:
 ordering germs is eventual order, so that set's normal form is the
-shape of every member for all large k.  Other families get their limit
-from an exactly verified constant or geometric difference pattern.
+shape of every member for all large k.  A self-similar family, such as
+the stock Cantor and dyadic ones, maps each member to the next by affine
+maps of [0,1] whose images meet in at most a point, so every step scales
+the measure by the sum of their |slopes|: its values and limit are
+closed forms.  The limit of a disjoint schema is refused.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
-from typing import Callable, Optional
+from itertools import accumulate, combinations
+from typing import Optional
 
 from . import exprlang as E
 from . import germ as G
@@ -314,32 +317,43 @@ def lebesgue(expr) -> Fraction:
 # family index k.
 PieceSchema = Piece
 
-# The pieces a generator family may materialize; halving constructions
-# double their piece count at every step.  Schema families materialize
-# every member up to the depth, which MAX_CHECK_DEPTH bounds.
-PIECE_BUDGET = 20000
+
+def _map_piece(p: Piece, a: Fraction, b: Fraction) -> Piece:
+    """The image of p under x -> a*x + b; a constant map sends it to {b}."""
+    lo, hi = p.lo * a + b, p.hi * a + b
+    if a < 0:
+        return Piece(hi, lo, p.hi_closed, p.lo_closed)
+    return Piece(lo, hi, p.lo_closed or a == 0, p.hi_closed or a == 0)
+
+
+def _image(maps, x: InternalSet) -> InternalSet:
+    """The union of the images of x under the affine maps."""
+    return InternalSet([_map_piece(p, a, b) for a, b in maps for p in x.pieces])
 
 
 @dataclass(frozen=True)
 class SigmaFamily:
-    """A monotone or disjoint family of internal sets indexed by k >= start,
-    given by a schema (pieces with endpoints in k) or a generator."""
+    """A monotone or disjoint family of internal sets indexed by k >= start:
+    pieces with endpoints in k or, given affine maps (a, b) meaning
+    x -> a*x + b, the pieces of the member at start, each later member
+    being the union of the maps' images of the one before."""
 
     mode: str  # "increasing" | "decreasing" | "disjoint"
-    schema: Optional[tuple] = None  # tuple of PieceSchema
-    generator: Optional[Callable[[int], InternalSet]] = None
+    schema: tuple  # tuple of PieceSchema
+    maps: tuple = ()  # ((a, b), ...) with Fraction entries
     start: int = 1
 
     def __post_init__(self):
         if self.mode not in ("increasing", "decreasing", "disjoint"):
             raise ValueError(f"unknown sigma mode {self.mode!r}")
-        if (self.schema is None) == (self.generator is None):
-            raise ValueError("provide exactly one of schema or generator")
 
     def at(self, k: int) -> InternalSet:
-        if self.generator is not None:
-            return self.generator(k)
-        return InternalSet([s.at(k) for s in self.schema])
+        if not self.maps:
+            return InternalSet([s.at(k) for s in self.schema])
+        x = InternalSet(self.schema)
+        for _ in range(k - self.start):
+            x = _image(self.maps, x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -385,106 +399,91 @@ def _eventual_set(family: SigmaFamily) -> InternalSet:
     return InternalSet(family.schema)
 
 
-def _geometric_extension(values, depth):
-    """Detect an exactly geometric difference pattern; return
-    (limit, extended values, derivation) or None."""
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    if not diffs:
-        return None
-    if all(d == 0 for d in diffs):
-        const = values[-1]
-        full = list(values) + [const] * (depth + 1 - len(values))
-        return const, full, "eventually-constant values"
-    if any(d == 0 for d in diffs) or len(diffs) < 3:
-        return None
-    ratio = diffs[1] / diffs[0]
-    if abs(ratio) >= 1:
-        return None
-    for i in range(len(diffs) - 1):
-        if diffs[i + 1] != diffs[i] * ratio:
-            return None
-    limit = values[0] + diffs[0] / (1 - ratio)
-    full = list(values)
-    d = diffs[-1] * ratio
-    while len(full) < depth + 1:
-        full.append(full[-1] + d)
-        d *= ratio
-    return limit, full, f"geometric differences with ratio {ratio}"
+def _self_similar(family: SigmaFamily, depth: int) -> SigmaCertificate:
+    """The certificate of a family A(k+1) = F(A(k)), F the union of the
+    affine maps f_i.  When every f_i([0,1]) lies in [0,1] and the images
+    meet pairwise in at most a point (the open set condition with
+    V = (0,1)), m(F(A)) = rho*m(A) with rho the sum of the |a_i|, for
+    every A inside [0,1].  F is monotone under inclusion, so a mode that
+    holds between A0 and A1 = F(A0) holds between every A(k) and
+    A(k+1); a single injective f with A0 outside f([0,1]) keeps each
+    f^j(A0) outside f^(j+1)([0,1]), which holds all later members."""
+    start, mode, maps = family.start, family.mode, family.maps
+    units = [sorted((b, a + b)) for a, b in maps]
+    for (a, b), (lo, hi) in zip(maps, units):
+        if lo < 0 or hi > 1:
+            raise EngineError(f"map x -> {a}*x + {b} sends [0,1] outside itself")
+    if any(min(hi, hi2) > max(lo, lo2) for (lo, hi), (lo2, hi2) in combinations(units, 2)):
+        raise LimitUndecidableError("the maps' images of [0,1] overlap in more than a point")
+    a0 = InternalSet(family.schema)
+    a1 = _image(maps, a0)
+    if mode == "increasing":
+        holds = a0.subset_of(a1)
+    elif mode == "decreasing":
+        holds = a1.subset_of(a0)
+    else:
+        image = _image(maps, _from_cuts(_UNIT))
+        holds = len(maps) == 1 and maps[0][0] != 0 and a0.is_disjoint_from(image)
+    if not holds:
+        raise ModeViolationError(f"set at k={start + 1} breaks the {mode} mode")
+    m0, rho = loeb_measure(a0), sum(abs(a) for a, _ in maps)
+    values = [m0 * rho ** i for i in range(depth + 1)]
+    if mode == "disjoint":
+        values = list(accumulate(values))
+        # rho = 1 makes f([0,1]) all of [0,1], which leaves A0 empty
+        limit = m0 / (1 - rho) if rho < 1 else m0
+    else:
+        limit = m0 if rho == 1 else Fraction(0)
+    pairs = tuple((start + i, v) for i, v in enumerate(values))
+    return SigmaCertificate(mode, pairs, limit, start + 1,
+                            f"self-similarity with measure ratio {rho}")
 
 
 def sigma_limit(family: SigmaFamily, depth: int) -> SigmaCertificate:
     """Exact partial values and the exact limit of a sigma family.
 
     Monotone modes report the member measures; the disjoint mode
-    reports partial sums.  A schema family materializes and mode-checks
-    every member up to the depth.  A monotone schema's limit is the Loeb
-    measure of its eventual set: for all large k the members take that
-    set's shape, so their measures tend to the shadows of its widths.
-    A schema piece that eventually leaves [0,1] is refused.  Other
-    limits come from a difference pattern verified exactly on the
-    materialized values (constant or geometric), which also extends the
-    values of a generator family that stopped at PIECE_BUDGET.
+    reports partial sums.  A family of maps gets its values and limit
+    from its self-similarity (``_self_similar``).  A schema family
+    materializes and mode-checks every member up to the depth.  A
+    monotone schema's limit is the Loeb measure of its eventual set:
+    for all large k the members take that set's shape, so their
+    measures tend to the shadows of its widths.  A schema piece that
+    eventually leaves [0,1] is refused, and so is the limit of a
+    disjoint schema, which needs its partial sums in closed form.
     """
     check_depth_bound(depth)
+    if family.maps:
+        return _self_similar(family, depth)
     start = family.start
-    eventual = None if family.schema is None else _eventual_set(family)
-    sets, spent = [], 0
-    for k in range(start, start + depth + 1):
-        s = family.at(k)
-        spent += max(len(s.cuts) // 2, 1)
-        if family.generator is not None and sets and spent > PIECE_BUDGET:
-            break
-        sets.append(s)
+    eventual = _eventual_set(family)
+    sets = [family.at(k) for k in range(start, start + depth + 1)]
     _check_mode(family, sets, start)
-    measures = [loeb_measure(s) for s in sets]
-    values = list(accumulate(measures)) if family.mode == "disjoint" else measures
-    materialized_to = start + len(values) - 1
-    if eventual is not None and family.mode != "disjoint":
-        limit = loeb_measure(eventual)
-        derivation = "shadow of the symbolic width in the family index"
-    else:
-        ext = _geometric_extension(values, depth)
-        if ext is None:
-            raise LimitUndecidableError("no exact closed form found for the value sequence")
-        limit, values, derivation = ext
-    pairs = tuple((start + i, v) for i, v in enumerate(values))
-    return SigmaCertificate(family.mode, pairs, limit, materialized_to, derivation)
+    if family.mode == "disjoint":
+        raise LimitUndecidableError("no exact closed form found for the value sequence")
+    pairs = tuple((start + i, loeb_measure(s)) for i, s in enumerate(sets))
+    return SigmaCertificate(family.mode, pairs, loeb_measure(eventual), start + depth,
+                            "shadow of the symbolic width in the family index")
 
 
 # -- stock families --------------------------------------------------------
 
 
 def dyadic_family() -> SigmaFamily:
-    """The disjoint family (2^-(k+1), 2^-k] for k >= 0; partial sums
-    1 - 2^-(k+1) with limit 1."""
-
-    def gen(k: int) -> InternalSet:
-        lo = Fraction(1, 2 ** (k + 1))
-        hi = Fraction(1, 2 ** k)
-        return InternalSet([Piece(Germ.constant(lo), Germ.constant(hi), False, True)])
-
-    return SigmaFamily("disjoint", generator=gen, start=0)
+    """The disjoint family (2^-(k+1), 2^-k] for k >= 0, the images of
+    (1/2, 1] under x -> x/2; partial sums 1 - 2^-(k+1) with limit 1."""
+    half = Fraction(1, 2)
+    base = Piece(Germ.constant(half), _ONE, False)
+    return SigmaFamily("disjoint", (base,), ((half, Fraction(0)),), start=0)
 
 
 def cantor_family() -> SigmaFamily:
-    """Middle-thirds construction as a decreasing family: step k keeps
-    2^k closed pieces of total measure (2/3)^k."""
-
-    def step(k: int):
-        spans = [(Fraction(0), Fraction(1))]
-        for _ in range(k):
-            nxt = []
-            for lo, hi in spans:
-                third = (hi - lo) / 3
-                nxt.append((lo, lo + third))
-                nxt.append((hi - third, hi))
-            spans = nxt
-        return spans
-
-    def gen(k: int) -> InternalSet:
-        return InternalSet([Piece(Germ.constant(lo), Germ.constant(hi)) for lo, hi in step(k)])
-
-    return SigmaFamily("decreasing", generator=gen, start=0)
+    """Middle-thirds construction as a decreasing family: [0,1] under
+    x -> x/3 and x -> x/3 + 2/3, so step k keeps 2^k closed pieces of
+    total measure (2/3)^k."""
+    third = Fraction(1, 3)
+    maps = ((third, Fraction(0)), (third, 2 * third))
+    return SigmaFamily("decreasing", (Piece(_ZERO, _ONE),), maps, start=0)
 
 
 def interval_family(

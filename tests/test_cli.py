@@ -280,6 +280,21 @@ def test_exponent_beyond_the_limit_is_domain_error(capsys, expr):
     assert f"limit of {MAX_EXPONENT}" in record["error"]
 
 
+@pytest.mark.parametrize("argv, exponent", [
+    (["eval", "(w+1)^1000*(w+2)^1000 + w^1001"], 1001),
+    (["eval", "(w+1)^1000*(w+2)^1000 + shadow(1/w^1001)"], 1001),
+    (["hull", "limit", "(k+w)^900*(k+1)^900/w^-1001"], -1001),
+], ids=["germ", "shadow", "family"])
+def test_exponent_beyond_the_limit_is_refused_before_any_arithmetic(argv, exponent):
+    # the product on the left of w^1001 took about 3 s before the exponent was reached
+    start = time.process_time()
+    r = run(*argv)
+    assert time.process_time() - start < 0.5
+    assert r.exit_code == DOMAIN
+    assert r.text == (f"error: exponent {exponent} exceeds the limit of {MAX_EXPONENT} "
+                      "in absolute value")
+
+
 @pytest.mark.parametrize("grade", [-1001, 1001])
 def test_neutrix_grade_beyond_the_limit_is_domain_error(capsys, grade):
     expr = f"1/(w+1) + N({grade})"
@@ -369,10 +384,12 @@ def test_oracle_failure_exits_4(monkeypatch, capsys, tmp_path, argv, mismatches)
     empty_quotient_membership(monkeypatch)
     r = run(*argv)
     assert r.exit_code == DOMAIN and r.status == "error"
-    assert r.text.endswith("FAIL") and f"{mismatches} mismatches" in r.text
+    assert r.text.startswith(f"error: oracle found {mismatches} mismatches\n")
+    assert r.text.endswith("FAIL") and f", {mismatches} mismatches" in r.text
     assert main(["--json", *argv]) == DOMAIN
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "error" and record["passed"] is False
+    assert (record["error"], record["code"]) == (f"oracle found {mismatches} mismatches", DOMAIN)
     assert record.get("los", record)["mismatches"] == mismatches
 
 

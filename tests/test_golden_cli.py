@@ -122,11 +122,12 @@ CASES = [
     ["hull", "point", "n", "w/2"],
     ["hull", "limit", "k/(2*k+1) + 1/(3*w)"],
     # sigma schemas: overlapping pieces whose limit is not their summed
-    # width, a disjoint schema with no closed form, and a piece that
-    # leaves [0,1] only beyond the depth
+    # width, disjoint schemas (the second one's first values are
+    # geometric), and a piece that leaves [0,1] only beyond the depth
     ["measure", "--sigma", "{golden}/overlap.sigma"],
     ["measure", "--sigma", "{golden}/overlap.sigma", "--depth", "40"],
     ["measure", "--sigma", "{golden}/disjoint.sigma"],
+    ["measure", "--sigma", "{golden}/geometric.sigma"],
     ["measure", "--sigma", "{golden}/leaves.sigma"],
 ]
 

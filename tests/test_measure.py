@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -250,36 +251,27 @@ def test_dyadic_partial_sums():
     assert cert.limit == 1
     for k, v in cert.values:
         assert v == 1 - Fraction(1, 2 ** (k + 1))
+    assert cert.materialized_to == 1
 
 
 def test_cantor_partial_measures():
+    start = time.process_time()
     cert = M.sigma_limit(M.cantor_family(), 40)
+    assert time.process_time() - start < 0.1
     assert cert.limit == 0
     for k, v in cert.values:
         assert v == Fraction(2, 3) ** k
-    assert cert.materialized_to >= 10
+    assert cert.materialized_to == 1
 
 
 def test_mode_violation_detected():
-    bad = M.SigmaFamily(
-        "increasing",
-        generator=lambda k: M.InternalSet(
-            [M.Piece(Germ.constant(0), Germ.constant(Fraction(1, k)))]
-        ),
-        start=1,
-    )
+    bad = M.interval_family("0", "1/k", "increasing")
     with pytest.raises(ModeViolationError):
         M.sigma_limit(bad, 6)
 
 
 def test_disjoint_mode_checks_overlaps():
-    bad = M.SigmaFamily(
-        "disjoint",
-        generator=lambda k: M.InternalSet(
-            [M.Piece(Germ.constant(0), Germ.constant(Fraction(1, 2)))]
-        ),
-        start=1,
-    )
+    bad = M.interval_family("0", "1/2", "disjoint")
     with pytest.raises(ModeViolationError):
         M.sigma_limit(bad, 4)
 
@@ -294,35 +286,79 @@ def test_disjoint_mode_check_is_not_quadratic():
 
 
 def test_disjoint_mode_names_the_overlapping_sets():
-    def at(k):
-        lo, hi = (Fraction(1, 4), Fraction(1, 3)) if k == 700 else (Fraction(1, k + 1), Fraction(1, k))
-        return M.InternalSet([M.Piece(Germ.constant(lo), Germ.constant(hi), False, True)])
-
-    fam = M.SigmaFamily("disjoint", generator=at, start=1)
+    # the second piece is (1/4, 1/3] at k = 700 and empty at every other k
+    fam, _ = M.parse_sigma_file("mode: disjoint\npiece: (1/(k+1), 1/k]\n"
+                                "piece: (1/4 + (k-700)^2, 1/3 - (k-700)^2]\n")
     with pytest.raises(ModeViolationError, match="^sets at k=3 and k=700 overlap$"):
         M.sigma_limit(fam, 1000)
 
 
-def test_undecidable_limit_is_reported_honestly():
-    # partial sums of 1/k^2 have no exact rational limit
-    fam = M.SigmaFamily(
-        "disjoint",
-        generator=lambda k: M.InternalSet(
-            [
-                M.Piece(
-                    Germ.constant(Fraction(1, 2) - Fraction(1, 4) * Fraction(1, k * k)),
-                    Germ.constant(Fraction(1, 2)),
-                    False,
-                    False,
-                )
-            ]
-        )
-        if k > 1
-        else M.InternalSet([M.Piece(Germ.constant(Fraction(1, 4)), Germ.constant(Fraction(1, 2)), False, False)]),
-        start=1,
-    )
-    with pytest.raises((LimitUndecidableError, ModeViolationError)):
-        M.sigma_limit(fam, 8)
+@pytest.mark.parametrize("hi, depth", [
+    # widths 1/(2k^2): the partial sums tend to pi^2/12
+    ("1/(k+1) + 1/(2*k^2)", 8),
+    # m(2), m(3), m(4) halve, and a geometric fit gave the limit 3/40,
+    # but m(5) = 1/280, not 1/320
+    ("1/(k+1) + 1/(20*k^2 - 60*k + 80)", 3),
+], ids=["irrational", "geometric-prefix"])
+def test_undecidable_limit_is_reported_honestly(hi, depth):
+    fam = M.interval_family("1/(k+1)", hi, "disjoint", False, True)
+    with pytest.raises(LimitUndecidableError, match="^no exact closed form"):
+        M.sigma_limit(fam, depth)
+
+
+# -- self-similar families: closed forms against materialized members -----------
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+_UNIT = (M.Piece(Germ.constant(0), one),)
+_FLIP = M.SigmaFamily("disjoint", (M.Piece(Germ.constant(_HALF), one, False),), ((-_HALF, _HALF),))
+SELF_SIMILAR = {  # family, limit
+    "cantor": (M.cantor_family(), 0),
+    "dyadic": (M.dyadic_family(), 1),
+    "halves": (M.SigmaFamily("increasing", _UNIT, ((_HALF, 0), (_HALF, _HALF))), 1),
+    "flip": (_FLIP, 1),
+    "mirror": (M.SigmaFamily("decreasing", _UNIT, ((-_THIRD, _THIRD), (_THIRD, 2 * _THIRD)),
+                             start=3), 0),
+}
+
+
+@pytest.mark.parametrize("name", SELF_SIMILAR)
+def test_self_similar_values_match_the_members(name):
+    fam, limit = SELF_SIMILAR[name]
+    cert = M.sigma_limit(fam, 8)
+    members = [fam.at(k) for k in range(fam.start, fam.start + 9)]
+    M._check_mode(fam, members, fam.start)
+    measures = [M.loeb_measure(x) for x in members]
+    expected = list(accumulate(measures)) if fam.mode == "disjoint" else measures
+    assert cert.values == tuple(zip(range(fam.start, fam.start + 9), expected))
+    assert (cert.limit, cert.materialized_to) == (limit, fam.start + 1)
+
+
+def test_negative_slope_reverses_the_ends():
+    members = [str(_FLIP.at(k)) for k in range(1, 5)]
+    assert members == ["(1/2,1]", "[0,1/4)", "(3/8,1/2]", "[1/4,5/16)"]
+
+
+@pytest.mark.parametrize("maps, error, message", [
+    (((_HALF, 0), (_HALF, Fraction(1, 4))), LimitUndecidableError, "overlap in more than a point"),
+    (((_HALF, Fraction(3, 4)),), EngineError,
+     "^map x -> 1/2\\*x \\+ 3/4 sends \\[0,1\\] outside itself$"),
+    (((-_HALF, Fraction(1, 4)),), EngineError, "outside itself"),
+], ids=["overlapping-images", "image-above-1", "image-below-0"])
+def test_self_similar_refusals(maps, error, message):
+    with pytest.raises(error, match=message):
+        M.sigma_limit(M.SigmaFamily("decreasing", _UNIT, maps), 4)
+
+
+@pytest.mark.parametrize("mode, base, maps", [
+    ("increasing", _UNIT, ((_THIRD, 0), (_THIRD, 2 * _THIRD))),
+    ("disjoint", _UNIT, ((_THIRD, 0), (_THIRD, 2 * _THIRD))),
+    ("disjoint", _UNIT, ((_HALF, _HALF),)),
+    # [0,1/4], then [3/4,1], then [0,1/4] again
+    ("disjoint", (M.Piece(Germ.constant(0), one / 4),), ((-1, 1),)),
+], ids=["increasing", "two-maps-disjoint", "base-meets-image", "base-meets-later-member"])
+def test_self_similar_mode_violation_names_the_second_member(mode, base, maps):
+    with pytest.raises(ModeViolationError, match="^set at k=4 breaks the"):
+        M.sigma_limit(M.SigmaFamily(mode, base, maps, start=3), 4)
 
 
 def test_schema_members_evaluate_only_the_endpoints_in_k(monkeypatch):
@@ -355,7 +391,7 @@ def test_sigma_file_refuses_values_that_are_no_integer(key, value):
 
 @pytest.mark.parametrize("family", [
     M.interval_family("1/k", "1", "increasing"), M.dyadic_family(),
-], ids=["schema", "generator"])
+], ids=["schema", "self-similar"])
 def test_negative_depth_is_refused(family):
     with pytest.raises(EngineError, match="got -1$"):
         M.sigma_limit(family, -1)
@@ -363,7 +399,7 @@ def test_negative_depth_is_refused(family):
 
 @pytest.mark.parametrize("family", [
     M.interval_family("1/k", "1", "increasing"), M.dyadic_family(),
-], ids=["schema", "generator"])
+], ids=["schema", "self-similar"])
 def test_depth_above_the_limit_is_refused(family):
     with pytest.raises(EngineError, match=f"limit of {MAX_CHECK_DEPTH}$"):
         M.sigma_limit(family, MAX_CHECK_DEPTH + 1)

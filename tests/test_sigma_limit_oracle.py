@@ -1,5 +1,5 @@
-"""Property test of ``sigma_limit`` on monotone schemas against a
-Fraction-only oracle.
+"""Property tests of ``sigma_limit``: monotone schemas against a
+Fraction-only oracle, and self-similar families against their members.
 
 Each drawn piece has endpoints z + c/(k + s) that move monotonically
 towards limits a and b inside (0,1): outwards in an increasing schema,
@@ -8,15 +8,22 @@ mode.  The measure of a finite union of intervals is continuous in the
 endpoints, so the limit of the member measures is the Lebesgue measure
 of the union of the limit intervals [a, b], which the oracle computes
 with Fractions alone.  Pieces may overlap, touch or vanish in the limit.
+
+A self-similar family's certificate is built from its first two members
+only; wherever it is issued, the members up to the depth must pass the
+mode check and have the certified measures.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperq import measure as M
-from hyperq.germ import parse_germ_in_k
+from hyperq.errors import ModeViolationError
+from hyperq.germ import Germ, parse_germ_in_k
 
 DEPTH = 6
 
@@ -70,3 +77,53 @@ def test_monotone_schema_limit_is_the_measure_of_the_limit_intervals(case):
     assert cert.limit == expected
     assert cert.materialized_to == family.start + DEPTH
     assert [k for k, _ in cert.values] == list(range(family.start, family.start + DEPTH + 1))
+
+
+# -- self-similar families -------------------------------------------------
+
+# Members of five maps hold up to 5^k pieces before they merge.
+SELF_SIMILAR_DEPTH = 4
+
+
+@st.composite
+def self_similar(draw):
+    """A family of affine maps whose images of [0,1] are grid intervals
+    that meet in at most a point, some of them reversed: apart, or
+    tiling [0,1] so that the measure ratio is 1.  The base is [0,1] or
+    one or two grid intervals, and the declared mode is any of three."""
+    grid = [Fraction(i, 12) for i in range(13)]
+    cuts = sorted(draw(st.lists(st.sampled_from(grid), min_size=2, max_size=4, unique=True)))
+    if draw(st.booleans()):
+        cuts = sorted({0, 1, *cuts})
+        images = zip(cuts, cuts[1:])
+    else:
+        images = zip(cuts[::2], cuts[1::2])
+    maps = tuple((q - p, p) if draw(st.booleans()) else (p - q, q) for p, q in images)
+    base = [M.Piece(Germ.constant(0), Germ.constant(1))]
+    ends = st.lists(st.sampled_from(grid), min_size=2, max_size=2, unique=True)
+    if draw(st.booleans()):
+        base = []
+        for _ in range(draw(st.integers(1, 2))):
+            lo, hi = sorted(draw(ends))
+            base.append(M.Piece(Germ.constant(lo), Germ.constant(hi), draw(st.booleans()),
+                                draw(st.booleans())))
+    mode = draw(st.sampled_from(["increasing", "decreasing", "disjoint"]))
+    return M.SigmaFamily(mode, tuple(base), maps, start=draw(st.integers(0, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(self_similar())
+def test_self_similar_certificate_holds_on_the_members(family):
+    members = [family.at(k) for k in range(family.start, family.start + SELF_SIMILAR_DEPTH + 1)]
+    try:
+        cert = M.sigma_limit(family, SELF_SIMILAR_DEPTH)
+    except ModeViolationError:
+        if family.mode != "disjoint":  # a monotone mode is refused only when it fails
+            with pytest.raises(ModeViolationError):
+                M._check_mode(family, members[:2], family.start)
+        return
+    M._check_mode(family, members, family.start)
+    measures = [M.loeb_measure(x) for x in members]
+    expected = list(accumulate(measures)) if family.mode == "disjoint" else measures
+    assert [v for _, v in cert.values] == expected
+    assert cert.materialized_to == family.start + 1
