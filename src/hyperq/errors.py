@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, and the integer reader that raises them."""
+"""Exceptions shared across the package, and the readers of outside input that raise them."""
 
 
 class EngineError(ValueError):
@@ -62,3 +62,25 @@ def read_int(text: str, what: str, error=EngineError) -> int:
             f"{what} needs an integer of at most {MAX_INT_DIGITS} digits, not one of {len(digits)}"
         )
     return int(text)
+
+
+def read_fields(text: str, what: str, keys, once):
+    """The stripped ``(key, value)`` pairs of the ``key: value`` lines of
+    ``text`` in file order; ``#`` starts a comment anywhere on a line.
+    ``EngineError`` (naming ``what``) is raised at the first line with no
+    colon, with a key not in ``keys``, or repeating a key in ``once``."""
+    seen = set()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, colon, value = (part.strip() for part in line.partition(":"))
+        if not colon:
+            raise EngineError(f"bad {what} line: {line!r}")
+        if key not in keys:
+            raise EngineError(f"unknown {what} key {key!r}")
+        if key in seen:
+            raise EngineError(f"{what} key {key!r} appears more than once")
+        if key in once:
+            seen.add(key)
+        yield key, value

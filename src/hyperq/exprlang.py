@@ -18,7 +18,8 @@ while parsing.  ``format`` prints with canonical spacing and minimal
 parentheses, and ``parse(format(t))`` returns ``t`` for every tree ``t``
 in the parser's image.  Input whose brackets and prefix operators, or
 whose tree, nest deeper than ``MAX_DEPTH`` levels is refused with a
-``ParseError``.  The normative grammar ships in docs/grammar.ebnf.
+``ParseError``, and an exponent over ``germ.MAX_EXPONENT`` as a domain
+error.  The normative grammar ships in docs/grammar.ebnf.
 Every evaluator of these trees is one ``fold``: a function per inner
 node class and a leaf function for the rest.
 """
@@ -407,13 +408,17 @@ class _Parser:
 
 
 def _bounded(node, tok):
-    """``node`` if its height is at most MAX_DEPTH; found without recursion."""
+    """``node`` if its height is at most MAX_DEPTH (else a ParseError)
+    and no exponent literal passes germ.MAX_EXPONENT (else a domain
+    error naming the leftmost): one walk, without recursion."""
     stack = [(node, 1)]
     while stack:
         n, h = stack.pop()
         if h > MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
-        stack.extend((c, h + 1) for c in vars(n).values() if is_dataclass(c))
+        if type(n) is Pow:
+            _check_exponent(n.exp)
+        stack.extend((c, h + 1) for c in reversed(vars(n).values()) if is_dataclass(c))
     return node
 
 
@@ -529,17 +534,6 @@ SET_OPS = {NotP: lambda x: x.complement(), AndP: lambda x, y: x.intersect(y),
            OrP: lambda x, y: x.union(y)}
 
 
-def _refuse_large_exponents(node):
-    """Refuse every exponent literal over germ.MAX_EXPONENT before any
-    arithmetic is done: ``fold`` reaches one only after everything to
-    its left."""
-    if type(node) is Pow:
-        _check_exponent(node.exp)
-    if type(node) in ARITH or type(node) is ShadowOf:
-        for child in vars(node).values():
-            _refuse_large_exponents(child)
-
-
 def to_germ(node, var: str = "w") -> Germ:
     """Evaluate an arithmetic AST into a Germ, reading ``var`` as the
     indeterminate."""
@@ -558,7 +552,6 @@ def to_germ(node, var: str = "w") -> Germ:
             return Germ.constant(sh)
         raise EngineError(f"not a germ expression: {format(node)}")
 
-    _refuse_large_exponents(node)
     return fold(node, leaf, ARITH)
 
 
@@ -572,7 +565,6 @@ def _family_leaf(node) -> BivariateGerm:
 
 def to_family(node) -> BivariateGerm:
     """Evaluate a two-variable AST into a k-indexed family of germs."""
-    _refuse_large_exponents(node)
     return fold(node, _family_leaf, ARITH)
 
 

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EngineError, read_int
+from .errors import EngineError, read_fields, read_int
 
 # Input caps.  A quotient enumerates carrier^index functions and decides
 # the 2^index subsets of its index; a model's truth tables cost about
@@ -603,6 +603,10 @@ def psi_sweep(max_index: int = 3, max_carrier: int = 3) -> SweepReport:
 # -- plain-text model files ---------------------------------------------------
 
 
+_MODEL_KEYS = ("carrier", "member", "unary", "index", "w")
+_MODEL_ONCE = ("carrier", "index", "w")
+
+
 def parse_model(text: str):
     """Model description: one ``carrier:`` line of atoms, ``member: a b``
     pairs (read "a in b"), optional ``unary: name atoms...``, one
@@ -613,19 +617,8 @@ def parse_model(text: str):
     unary = {}
     index_size = None
     w = None
-    seen = set()  # the once-only keys read so far
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise EngineError(f"bad model line: {line!r}")
-        key, _, value = line.partition(":")
-        key, parts = key.strip(), value.split()
-        if key in seen:
-            raise EngineError(f"model key {key!r} appears more than once")
-        if key in ("carrier", "index", "w"):
-            seen.add(key)
+    for key, value in read_fields(text, "model", _MODEL_KEYS, _MODEL_ONCE):
+        parts = value.split()
         if key == "carrier":
             repeated = [a for a, n in Counter(parts).items() if n > 1]
             if repeated:
@@ -639,15 +632,12 @@ def parse_model(text: str):
             if len(parts) < 1:
                 raise EngineError("unary lines need a relation name")
             unary.setdefault(parts[0], []).extend(parts[1:])  # file order, for the message
-        elif key in ("index", "w"):
-            if len(parts) != 1:
-                raise EngineError(f"model key {key!r} needs exactly one value")
-            if key == "w":
-                w = parts[0]
-            else:
-                index_size = read_int(parts[0], "model key 'index'")
+        elif len(parts) != 1:
+            raise EngineError(f"model key {key!r} needs exactly one value")
+        elif key == "w":
+            w = parts[0]
         else:
-            raise EngineError(f"unknown model key {key!r}")
+            index_size = read_int(parts[0], "model key 'index'")
     if carrier is None or index_size is None or w is None:
         raise EngineError("model files need carrier, index and w lines")
     _check_size(len(carrier), index_size)

@@ -49,6 +49,7 @@ from .errors import (
     ModeViolationError,
     NotDisjointError,
     OutOfAlgebraError,
+    read_fields,
     read_int,
 )
 from .extnum import ZERO_N, ExternalNumber, extnum_order
@@ -168,12 +169,10 @@ class InternalSet:
     def __init__(self, pieces):
         spans = []
         for p in pieces:
-            if not isinstance(p, Piece):
-                p = Piece(*p)
             if p.is_empty():
                 continue
             if _stray_end(p) is not None:
-                raise EngineError(f"piece {p} leaves [0,1]")
+                raise EngineError(f"piece {_from_cuts(_cuts((p,)))} leaves [0,1]")
             spans.append(_cuts((p,)))
         spans.sort(key=_SPAN_KEY)
         cuts = []
@@ -503,22 +502,19 @@ def interval_family(
     return SigmaFamily(mode, schema=schema, start=start)
 
 
+_SIGMA_KEYS = ("mode", "start", "depth", "piece")
+_SIGMA_ONCE = ("mode", "start", "depth")
+
+
 def parse_sigma_file(text: str):
     """Plain-text sigma schema: ``mode:``, optional ``start:`` and
-    ``depth:``, and one ``piece: [lo, hi]`` line per interval, with
-    endpoints rational in k."""
+    ``depth:``, and one ``piece: [lo, hi]`` line per interval (the one
+    key that may repeat), with endpoints rational in k."""
     mode = None
     start = 1
     depth = None
     schemas = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise EngineError(f"bad sigma schema line: {line!r}")
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
+    for key, value in read_fields(text, "sigma schema", _SIGMA_KEYS, _SIGMA_ONCE):
         if key == "mode":
             if value not in ("increasing", "decreasing", "disjoint"):
                 raise EngineError(f"unknown mode {value!r}")
@@ -527,13 +523,11 @@ def parse_sigma_file(text: str):
             start = read_int(value, "sigma key 'start'")
         elif key == "depth":
             depth = read_int(value, "sigma key 'depth'")
-        elif key == "piece":
+        else:
             node = E.parse(value, "kset")
             if not isinstance(node, E.Interval):
                 raise EngineError("piece lines must be single intervals")
             schemas.append(piece_of(node, "k"))
-        else:
-            raise EngineError(f"unknown sigma schema key {key!r}")
     if mode is None or not schemas:
         raise EngineError("sigma schema needs a mode and at least one piece")
     return SigmaFamily(mode, schema=tuple(schemas), start=start), depth

@@ -284,7 +284,8 @@ def test_exponent_beyond_the_limit_is_domain_error(capsys, expr):
     (["eval", "(w+1)^1000*(w+2)^1000 + w^1001"], 1001),
     (["eval", "(w+1)^1000*(w+2)^1000 + shadow(1/w^1001)"], 1001),
     (["hull", "limit", "(k+w)^900*(k+1)^900/w^-1001"], -1001),
-], ids=["germ", "shadow", "family"])
+    (["ext", "(w+1)^1000*(w+2)^1000 + w^1001 + N(-3)"], 1001),
+], ids=["germ", "shadow", "family", "ext"])
 def test_exponent_beyond_the_limit_is_refused_before_any_arithmetic(argv, exponent):
     # the product on the left of w^1001 took about 3 s before the exponent was reached
     start = time.process_time()

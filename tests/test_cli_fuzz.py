@@ -138,11 +138,30 @@ pieces = st.builds(lambda o, lo, hi, c: f"piece: {o}{lo}, {hi}{c}",
 modes = st.sampled_from(["increasing", "decreasing", "disjoint", "sideways"]).map("mode: {}".format)
 sigma_lines = st.one_of(modes, values.map("start: {}".format), values.map("depth: {}".format),
                         pieces, st.text(max_size=10))
+
+
+@st.composite
+def commented(draw, lines):
+    """``lines`` with comment lines among them, inline ``#`` comments
+    after some, and maybe one of them again: the reader must skip the
+    comments, and a second once-only key is refused."""
+    lines = list(draw(lines))
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    comments = st.sampled_from(["", " # note", "#", "  # a: b # c", "#piece: [0, 2]"])
+    out = []
+    for line in lines:
+        out += [draw(st.sampled_from(["# a comment line", "#", "   # x: y"]))] * draw(st.booleans())
+        out.append(line + draw(comments))
+    return out
+
+
 sigma_files = st.one_of(
     st.lists(sigma_lines, max_size=6),
     # a mode, then some keys, then pieces: the shape of a schema
-    st.builds(lambda mode, keys, ps: [mode, *keys, *ps], modes,
-              st.lists(sigma_lines, max_size=2), st.lists(pieces, min_size=1, max_size=3)),
+    commented(st.builds(lambda mode, keys, ps: [mode, *keys, *ps], modes,
+                        st.lists(sigma_lines, max_size=2),
+                        st.lists(pieces, min_size=1, max_size=3))),
 ).map("\n".join)
 
 
@@ -178,7 +197,8 @@ def model_shapes(draw):
     return lines
 
 
-model_files = st.one_of(st.lists(model_lines, max_size=8), model_shapes()).map("\n".join)
+model_files = st.one_of(st.lists(model_lines, max_size=8),
+                        commented(model_shapes())).map("\n".join)
 
 
 @given(model_files, st.one_of(st.none(), st.integers(-1, 4).map(str)))

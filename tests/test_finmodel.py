@@ -237,9 +237,15 @@ def test_parse_model_errors():
     ("carrier: 0 1\nindex: 2\nw: 1\nw: 0\n", "model key 'w' appears more than once"),
     ("carrier: 0 1\nindex: " + "9" * 5000 + "\nw: 1\n",
      "model key 'index' needs an integer of at most 4300 digits, not one of 5000"),
+    ("carrier: 0 1\nbinary: 0 1\nindex: 2\nw: 1\n", "unknown model key 'binary'"),
+    ("carrier: 0 1\nunary:  # no name\nindex: 2\nw: 1\n", "unary lines need a relation name"),
+    ("carrier: 0 1\nmember 0 1\nindex: 2\nw: 1\n", "bad model line: 'member 0 1'"),
+    # the first fault in file order is the one reported
+    ("carrier: 0 1\nindex: x\nindex: 2\nw: 1\n", "model key 'index' needs an integer, not 'x'"),
 ], ids=["no-index", "two-indexes", "no-w", "index-word", "index-arabic-indic", "repeated-atom",
         "unary-atom-outside", "unary-atom-outside-on-a-later-line", "two-carriers", "two-index-lines",
-        "two-w-lines", "index-too-many-digits"])
+        "two-w-lines", "index-too-many-digits", "unknown-key", "unary-without-name", "no-colon",
+        "bad-index-before-second-index"])
 def test_parse_model_refuses_bad_values(text, message):
     with pytest.raises(EngineError, match=f"^{message}$"):
         F.parse_model(text)

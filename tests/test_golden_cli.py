@@ -129,6 +129,23 @@ CASES = [
     ["measure", "--sigma", "{golden}/disjoint.sigma"],
     ["measure", "--sigma", "{golden}/geometric.sigma"],
     ["measure", "--sigma", "{golden}/leaves.sigma"],
+    # a piece outside [0,1] is printed as an interval: a set's piece, and
+    # a sigma member's piece at k = 1
+    ["measure", "[0, 2]"],
+    ["measure", "--sigma", "{golden}/member_leaves.sigma"],
+    # the key-value reader: a repeated once-only key (the first fault in
+    # the file is named), comments anywhere on a line, unknown keys, a
+    # piece that is not one interval and a unary line with no name
+    ["measure", "--sigma", "{golden}/repeated_mode.sigma"],
+    ["measure", "--sigma", "{golden}/repeated_start.sigma"],
+    ["measure", "--sigma", "{golden}/repeated_depth.sigma"],
+    ["measure", "--sigma", "{golden}/commented.sigma"],
+    ["measure", "--sigma", "{golden}/unknown_key.sigma"],
+    ["measure", "--sigma", "{golden}/two_pieces.sigma"],
+    ["oracle", "--model", "{golden}/unknown_key.model"],
+    ["oracle", "--model", "{golden}/unnamed_unary.model"],
+    # an oversize exponent is refused while parsing, before the neutrix
+    ["ext", "N(-2)^1001"],
 ]
 
 
@@ -151,6 +168,13 @@ def _key(case, as_json):
 def test_cli_bytes_match_golden(case, as_json):
     golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
     assert _run(case, as_json) == golden[_key(case, as_json)]
+
+
+def test_comments_leave_a_sigma_file_unchanged():
+    # commented.sigma is family.sigma with comment lines and inline comments
+    for as_json in (False, True):
+        commented = _run(["measure", "--sigma", "{golden}/commented.sigma"], as_json)
+        assert commented == _run(["measure", "--sigma", "{golden}/family.sigma"], as_json)
 
 
 FILE_CASES = [c for c in CASES if "--model" in c or "--sigma" in c]

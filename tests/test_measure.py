@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -387,6 +388,28 @@ def test_sigma_file_roundtrip(tmp_path):
 def test_sigma_file_refuses_values_that_are_no_integer(key, value):
     with pytest.raises(EngineError, match=f"^sigma key '{key}' needs an integer, not '{value}'$"):
         M.parse_sigma_file(f"mode: increasing\n{key}: {value}\npiece: [1/k, 1]\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode: decreasing\nmode: increasing\nstart: 5\nstart: 1\npiece: [1/k, 1]\n",
+     "sigma schema key 'mode' appears more than once"),
+    ("mode: increasing\nstart: 5\nstart: 1\npiece: [1/k, 1]\n",
+     "sigma schema key 'start' appears more than once"),
+    ("mode: increasing\ndepth: 3\npiece: [1/k, 1]\ndepth: 4\n",
+     "sigma schema key 'depth' appears more than once"),
+    # the first fault in file order is the one reported
+    ("mode: increasing\nstart: x\nmode: increasing\npiece: [1/k, 1]\n",
+     "sigma key 'start' needs an integer, not 'x'"),
+    ("mode: increasing\nmode: sideways\npiece: [1/k, 1]\n",
+     "sigma schema key 'mode' appears more than once"),
+    ("mode: increasing\nlimit: 1\npiece: [1/k, 1]\n", "unknown sigma schema key 'limit'"),
+    ("mode: increasing\npiece [1/k, 1] # no colon\n", "bad sigma schema line: 'piece [1/k, 1]'"),
+    ("mode: increasing\npiece: [0, 1/k] | [1/2, 1]\n", "piece lines must be single intervals"),
+], ids=["two-modes", "two-starts", "two-depths", "bad-start-before-second-mode",
+        "second-mode-before-its-value", "unknown-key", "no-colon", "two-intervals"])
+def test_sigma_file_refuses_bad_lines(text, message):
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        M.parse_sigma_file(text)
 
 
 @pytest.mark.parametrize("family", [
