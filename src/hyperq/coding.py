@@ -29,7 +29,7 @@ from . import extnum as X
 from . import germ as G
 from .errors import EngineError, NonMonotoneGeneratorError
 from .germ import Germ
-from .measure import _KEEP, Piece, _cuts, _order, _sweep, piece_of
+from .measure import _KEEP, Piece, _complement_in, _cuts, _order, _sweep, piece_of
 
 # -- the normal form -----------------------------------------------------
 
@@ -57,7 +57,8 @@ class Cuts(NamedTuple):
         return self.combine(other, "intersection")
 
     def complement(self) -> "Cuts":
-        return Cuts(_WHOLE, _WHOLE).combine(self, "difference")
+        """The complement within the whole line, which holds both lists."""
+        return Cuts(_complement_in(_WHOLE, self.std), _complement_in(_WHOLE, self.rest))
 
 
 # the connectives of the set language, on normal forms
@@ -308,7 +309,7 @@ def _cuts_ast(cuts: tuple):
     if not cuts:
         return E.AndP(E.PredAtom("inf"), E.NotP(E.PredAtom("limited")))
     if cuts[0] == _WHOLE[0]:  # a complement
-        return E.NotP(_cuts_ast(tuple(_sweep(_WHOLE, cuts, _KEEP["difference"]))))
+        return E.NotP(_cuts_ast(_complement_in(_WHOLE, cuts)))
     return reduce(E.OrP, (_piece_ast(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)))
 
 

@@ -10,16 +10,20 @@ just below g (side 0) or just above it (side 1), so a closed lower end
 or an open upper end at g is the cut (g, 0), and an open lower end or a
 closed upper end is (g, 1).  Coded sets also cut below or above a whole
 external number c + N; germ cuts are the case N = 0.  A list is normal
-when its cuts strictly increase.  Union, intersection, difference and
-complement are one merge of two cut lists that emits a cut wherever the
-boolean combination of the two memberships changes, so their results
-are normal by construction; only the constructor sorts and merges
-arbitrary pieces.
+when its cuts strictly increase.  Union, intersection and difference
+are one merge of two cut lists that emits a cut wherever the boolean
+combination of the two memberships changes, so their results are normal
+by construction; only the constructor sorts and merges arbitrary pieces.
+The complement of a normal list inside a universe needs no merge: it is
+the list with the universe's two cuts put at its ends, where a cut the
+two share cancels.
 
 The counting measure of an internal set is carried as a pair of exact
 germ bounds that differ by an infinitesimal; its shadow is the Loeb
 value, and on rational-endpoint sets the Loeb value is the Lebesgue
-measure.
+measure.  The width it rests on is summed per denominator: the
+numerators of the upper cuts' germs, less those of the lower cuts', are
+added as integers, and only one germ per distinct denominator is built.
 
 Sigma-additivity is exercised through families with certificates:
 exact partial values plus an exact limit, each a theorem.  A monotone
@@ -146,6 +150,20 @@ _KEEP = {"union": lambda a, b: a or b, "intersection": lambda a, b: a and b,
          "difference": lambda a, b: a and not b}
 
 
+def _complement_in(universe, cuts) -> tuple:
+    """The normal cut list of U minus X, for the two cuts of a universe U
+    and a normal list X that lies inside U.  Membership flips at every
+    cut of U and of X, so U minus X is u0 + X + u1; a cut X shares with U
+    passes twice and cancels, and only X's ends can share one."""
+    lo, hi = universe
+    out = [lo, *cuts, hi]
+    if cuts and _order(cuts[-1], hi) == 0:
+        del out[-2:]
+    if cuts and _order(lo, cuts[0]) == 0:
+        del out[:2]
+    return tuple(out)
+
+
 def _from_cuts(cuts) -> "InternalSet":
     """An InternalSet on a cut list that is already normal."""
     x = object.__new__(InternalSet)
@@ -218,8 +236,9 @@ class InternalSet:
         return self._combine(other, "difference")
 
     def complement(self) -> "InternalSet":
-        """The complement within [0,1]."""
-        return _from_cuts(_sweep(_UNIT, self.cuts, _KEEP["difference"]))
+        """The complement within [0,1]; the set lies inside [0,1], as
+        every InternalSet does, which ``_complement_in`` needs."""
+        return _from_cuts(_complement_in(_UNIT, self.cuts))
 
     def subset_of(self, other: "InternalSet") -> bool:
         return self.difference(other).is_empty()
@@ -240,11 +259,29 @@ def counting_measure(x: InternalSet) -> MeasureValue:
     whose shadows agree, plus that common shadow, the shadow of the
     summed width, as the Loeb value."""
     n = G.OMEGA
-    width = sum((hi[0] - lo[0] for lo, hi in _spans(x.cuts)), _ZERO)
+    width = _width(x.cuts)
     slack = Germ.constant(len(x.cuts) // 2)
     lower = (width * n - slack) / (n + 1)
     upper = (width * n + slack) / (n + 1)
     return MeasureValue(_clamp(G.shadow(width)), lower, upper)
+
+
+def _width(cuts) -> Germ:
+    """The summed width, upper germs less lower germs, of a normal cut
+    list.  Numerators are added as integer coefficients, one running sum
+    per distinct denominator, so that no germ is built for a single cut;
+    each sum becomes one germ, and those are added as germs."""
+    sums, sign = {}, -1
+    for g, _ in cuts:  # lower and upper cuts alternate
+        acc = sums.get(g.den)
+        if acc is None:
+            acc = sums[g.den] = []
+        if len(acc) < len(g.num):
+            acc += [0] * (len(g.num) - len(acc))
+        for j, c in enumerate(g.num):
+            acc[j] += sign * c
+        sign = -sign
+    return sum((Germ(tuple(num), den) for den, num in sums.items()), _ZERO)
 
 
 def loeb_measure(x: InternalSet) -> Fraction:

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import standard_catalog
 from hyperq import coding as C
+from hyperq import measure as M
 from hyperq.errors import EngineError, NonMonotoneGeneratorError
 from hyperq.germ import OMEGA, Germ, GermClass, classify, parse_germ_in_k
 
@@ -90,6 +91,59 @@ def test_de_morgan_on_catalog():
         lhs2 = C.CodedSet(C.PNot(C.PAnd(s1.predicate, s2.predicate)))
         rhs2 = C.CodedSet(C.POr(C.PNot(s1.predicate), C.PNot(s2.predicate)))
         assert C.equivalent(lhs2, rhs2)
+
+
+# -- complement within the whole line ----------------------------------------
+
+W0, W1 = C._WHOLE
+zero, half = Germ.constant(0), Germ.constant(Fraction(1, 2))
+EMPTY = C.Cuts((), ())
+
+
+def is_normal(cuts):
+    return all(C._order(a, b) < 0 for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[0, 1/2)", (W0, (zero, 0), (half, 0), W1)),
+    ("(0, 1)", (W0, (zero, 1), (one, 0), W1)),
+    ("{0}", (W0, (zero, 0), (zero, 1), W1)),
+    ("[1/w, 1]", (W0, (one / w, 0), (one, 1), W1)),
+    ("limited", (W0, (C._GALAXY, 0), (C._GALAXY, 1), W1)),
+])
+def test_coded_complement_edge_cases(text, expected):
+    x = coded(text).predicate
+    c = C.PNot(x)
+    assert c == (expected, expected)
+    assert is_normal(c.std) and is_normal(c.rest) and C.PNot(c) == x
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[0, 1]", None), ("[0, 1/2)", "[1/2, 1]"), ("(0, 1)", "{0} | {1}"),
+    ("{0}", "(0, 1]"), ("{1}", "[0, 1)"), ("[1/w, 1]", "[0, 1/w)"),
+])
+def test_coded_complement_within_the_unit_interval(text, expected):
+    """The unit-interval cases of InternalSet.complement, as coded sets."""
+    c = C.PAnd(C.PNot(coded(text).predicate), coded("[0, 1]").predicate)
+    assert c == (coded(expected).predicate if expected else EMPTY)
+
+
+def test_coded_complement_of_the_whole_line_and_of_std():
+    line = C.Cuts(C._WHOLE, C._WHOLE)
+    assert C.PNot(line) == EMPTY and C.PNot(EMPTY) == line
+    assert C.PNot(coded("std").predicate) == C.Cuts((), C._WHOLE)
+    for x in (line, EMPTY, coded("std").predicate, coded("inf | [1, 2)").predicate):
+        assert C.PNot(C.PNot(x)) == x
+
+
+def test_coded_complement_orders_only_its_ends(monkeypatch):
+    x = C.POr(coded("[0, 1/2)").predicate, coded("monad(3/4)").predicate)
+    calls = []
+    order = M._order
+    monkeypatch.setattr(M, "_order", lambda a, b: calls.append(1) or order(a, b))
+    c = C.PNot(x)
+    assert len(calls) <= 4  # two per list
+    assert c.std == (W0, *x.std, W1) and c.rest == (W0, *x.rest, W1)
 
 
 # -- countable operations ---------------------------------------------------

@@ -160,6 +160,62 @@ def test_null_when_shadows_coincide():
     assert M.loeb_measure(x) == 0
 
 
+# -- complement and width: edge cases and operation counts -----------------------
+
+
+def is_normal(cuts):
+    return all(M._order(a, b) < 0 for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[0,1]", "(empty)"),
+    ("[0,1/2)", "[1/2,1]"),
+    ("(0,1)", "[0,0] | [1,1]"),
+    ("{0}", "(0,1]"),
+    ("{1}", "[0,1)"),
+    ("[1/w,1]", "[0,1/w)"),
+    ("{0} | (1/3, 1/2] | {1}", "(0,1/3] | (1/2,1)"),
+])
+def test_complement_edge_cases(text, expected):
+    x = iset(text)
+    c = x.complement()
+    assert str(c) == expected
+    assert is_normal(c.cuts) and c.complement() == x
+
+
+def test_complement_of_the_empty_set_is_the_unit_interval():
+    empty = M.InternalSet([])
+    assert empty.complement() == iset("[0,1]")
+    assert iset("[0,1]").complement() == empty
+    assert empty.complement().complement() == empty
+
+
+def grid_set():
+    """1000 pieces [2i/4096, (2i+1)/4096]: 13 distinct denominators."""
+    at = [Germ.constant(Fraction(i, 4096)) for i in range(2000)]
+    return M.InternalSet([M.Piece(at[2 * i], at[2 * i + 1]) for i in range(1000)])
+
+
+def test_counting_measure_builds_one_germ_per_denominator(monkeypatch):
+    x = grid_set()
+    built = []
+    init = Germ.__init__
+    monkeypatch.setattr(Germ, "__init__", lambda self, *args: built.append(init(self, *args)))
+    mv = M.counting_measure(x)
+    assert len(built) <= 40  # 2008 with one germ per piece and per sum
+    assert mv.loeb == Fraction(1000, 4096)
+
+
+def test_complement_orders_only_its_ends(monkeypatch):
+    x = grid_set()
+    calls = []
+    order = M._order
+    monkeypatch.setattr(M, "_order", lambda a, b: calls.append(1) or order(a, b))
+    c = x.complement()
+    assert len(calls) <= 2  # 2001 with a sweep against [0,1]
+    assert c.cuts == x.cuts[1:] + ((one, 1),)  # the cut below 0 cancels
+
+
 # -- finite additivity -------------------------------------------------------------
 
 
