@@ -235,12 +235,13 @@ def eval_at(p, x):
     return Fraction(_horner(p, x.numerator, v), v ** max(len(p) - 1, 0))
 
 
-def compose(p, q):
-    # p(q(x))
-    acc = ZERO
-    for c in reversed(p):
-        acc = add(mul(acc, q), const(c))
-    return acc
+def shift(p):
+    # p(x + 1), the Taylor shift: synthetic division by x - 1, repeated
+    a = list(p)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return tuple(a)
 
 
 def _power(x, n, one, times):
@@ -280,6 +281,10 @@ def least_negative(p, start):
     """
     if not p:
         return None
+    if start >= 1 and (min(p) >= 0 or max(p) <= 0):
+        # one-signed coefficients leave no positive root (Descartes): no
+        # Sturm chain is needed, p has the sign of lc(p) at every k >= 1
+        return start if p[-1] < 0 else None
 
     def deriv(f):
         return tuple(i * c for i, c in enumerate(f))[1:]

@@ -11,7 +11,7 @@ and equality are decided by reducing the standard list to its trace on
 the rationals and letting the other forget on which side of a standard
 point its cuts sit; two sets are equal exactly when the reduced lists
 are.  Countable unions and intersections of families proved monotone
-by exact root counting cut at the monads of their limits.  A coded set
+by ``germ.direction`` cut at the monads of their limits.  A coded set
 is its normal form alone and carries no label: all coded sets are sets
 of germs in w, and any two combine.
 """
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cmp_to_key, reduce
 from typing import NamedTuple
 
-from . import _poly as P
 from . import exprlang as E
 from . import extnum as X
 from . import germ as G
@@ -201,24 +200,6 @@ class CountableOpResult:
     family: CodedFamily
 
 
-def _direction(g: Germ, start: int) -> int:
-    """Monotonicity of k -> g(k) on the integers k >= start: -1 falling,
-    0 constant, +1 rising.  Decided, not sampled: no step g(k+1) - g(k)
-    may have the opposite sign of the eventual one, and g may have no
-    pole there."""
-    # g.den has integer values, so den(k)^2 - 1 < 0 exactly where den(k) = 0
-    pole = P.least_negative(P.sub(P.mul(g.den, g.den), P.ONE), start)
-    if pole is not None:
-        raise NonMonotoneGeneratorError(f"endpoint has a pole at k={pole}")
-    shift = P.add(P.VAR, P.ONE)  # k + 1
-    step = Germ(P.compose(g.num, shift), P.compose(g.den, shift)) - g
-    sign = G.compare(step, G.ZERO)
-    turn = P.least_negative(P.scale(P.mul(step.num, step.den), sign), start)
-    if turn is not None:
-        raise NonMonotoneGeneratorError(f"endpoint is not monotone at k={turn}")
-    return sign
-
-
 def _limit(g: Germ) -> Germ:
     sh = G.shadow(g)
     if isinstance(sh, G.InfiniteShadow):
@@ -236,8 +217,8 @@ def countable_ops(family: CodedFamily, op: str) -> CountableOpResult:
     Constant ends keep their flags."""
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown countable operation {op!r}")
-    lo_dir = _direction(family.lo, family.start)
-    hi_dir = _direction(family.hi, family.start)
+    lo_dir = G.direction(family.lo, family.start)
+    hi_dir = G.direction(family.hi, family.start)
     if op == "union" and (lo_dir > 0 or hi_dir < 0):
         raise NonMonotoneGeneratorError("family is not growing; union needs nested intervals")
     if op == "intersection" and (lo_dir < 0 or hi_dir > 0):

@@ -34,7 +34,7 @@ class NotDisjointError(EngineError):
 
 
 class ModeViolationError(EngineError):
-    """A sigma-family's declared mode failed its sampled check."""
+    """A sigma-family's declared mode was not proved."""
 
 
 class OutOfAlgebraError(EngineError):

@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 
 from . import _poly as P
-from .errors import DegenerateDiagonalError, EngineError, ZeroGermError
+from .errors import DegenerateDiagonalError, EngineError, NonMonotoneGeneratorError, ZeroGermError
 
 # Largest |n| accepted by Germ.__pow__ and BivariateGerm.__pow__.
 MAX_EXPONENT = 1000
@@ -418,6 +418,42 @@ def eventually_threshold(a: Germ) -> int:
     if a.is_zero():
         raise ZeroGermError("the zero germ has no eventual sign")
     return P.cauchy_bound(P.mul(a.num, a.den))
+
+
+def shift(g: Germ) -> Germ:
+    """The germ of k -> g(k + 1), canonical as g is: the shift is an
+    automorphism of Z[k] that keeps leading coefficients."""
+    return Germ._make(P.shift(g.num), P.shift(g.den))
+
+
+def first_against(g: Germ, start: int, sign: int, base: Germ = None, strict: bool = False):
+    """The least integer k >= start at which sign*(g(k+1) - b(k)) >= 0
+    fails, or > 0 when strict, for b = base, else g itself: with no
+    base, the first step of g against sign.  None if there is none.
+    Exact root counting decides it for every k; a pole of g or base at
+    some k >= start raises NonMonotoneGeneratorError."""
+    b = g if base is None else base
+    for f in (g,) if base is None else (g, base):
+        # den has integer values, so den(k)^2 - 1 < 0 exactly where den(k) = 0
+        pole = P.least_negative(P.sub(P.mul(f.den, f.den), P.ONE), start)
+        if pole is not None:
+            raise NonMonotoneGeneratorError(f"endpoint has a pole at k={pole}")
+    # off the poles, h - b has the sign of the integer-valued
+    # (h.num*b.den - b.num*h.den)*b.den*h.den, which is <= 0 where it is < 1
+    h = shift(g)
+    step = P.mul(P.mul_add(h.num, b.den, P.neg(b.num), h.den), P.mul(b.den, h.den))
+    return P.least_negative(P.sub(P.scale(step, sign), P.const(int(strict))), start)
+
+
+def direction(g: Germ, start: int) -> int:
+    """Monotonicity of k -> g(k) on the integers k >= start: -1 falling,
+    0 constant, +1 rising.  No step may go against the eventual one, and
+    g may have no pole there; NonMonotoneGeneratorError names the k."""
+    sign = compare(shift(g), g)
+    turn = first_against(g, start, sign)
+    if turn is not None:
+        raise NonMonotoneGeneratorError(f"endpoint is not monotone at k={turn}")
+    return sign
 
 
 class BivariateGerm:

@@ -26,15 +26,16 @@ numerators of the upper cuts' germs, less those of the lower cuts', are
 added as integers, and only one germ per distinct denominator is built.
 
 Sigma-additivity is exercised through families with certificates:
-exact partial values plus an exact limit, each a theorem.  A monotone
-schema family, whose endpoints are germs in the family index k, has as
-its limit the Loeb measure of the set its pieces make as germs in k:
-ordering germs is eventual order, so that set's normal form is the
-shape of every member for all large k.  A self-similar family, such as
-the stock Cantor and dyadic ones, maps each member to the next by affine
-maps of [0,1] whose images meet in at most a point, so every step scales
-the measure by the sum of their |slopes|: its values and limit are
-closed forms.  The limit of a disjoint schema is refused.
+exact partial values plus an exact limit, each a theorem.  A schema
+family's endpoints are germs in the family index k; its mode is proved
+for every k, not sampled, and a monotone one has as its limit the Loeb
+measure of the set its pieces make as germs in k: ordering germs is
+eventual order, so that set's normal form is the shape of every member
+for all large k.  A self-similar family, such as the stock Cantor and
+dyadic ones, maps each member to the next by affine maps of [0,1] whose
+images meet in at most a point, so every step scales the measure by the
+sum of their |slopes|: its values and limit are closed forms.  The limit
+of a disjoint schema is refused.
 """
 
 from __future__ import annotations
@@ -270,7 +271,9 @@ def _width(cuts) -> Germ:
     """The summed width, upper germs less lower germs, of a normal cut
     list.  Numerators are added as integer coefficients, one running sum
     per distinct denominator, so that no germ is built for a single cut;
-    each sum becomes one germ, and those are added as germs."""
+    each sum becomes one germ, and those are added pairwise in a
+    balanced tree: left to right, the running denominator would grow
+    towards the lcm of all of them, with a gcd on it at every add."""
     sums, sign = {}, -1
     for g, _ in cuts:  # lower and upper cuts alternate
         acc = sums.get(g.den)
@@ -281,7 +284,11 @@ def _width(cuts) -> Germ:
         for j, c in enumerate(g.num):
             acc[j] += sign * c
         sign = -sign
-    return sum((Germ(tuple(num), den) for den, num in sums.items()), _ZERO)
+    germs = [Germ(tuple(num), den) for den, num in sums.items()] or [_ZERO]
+    while len(germs) > 1:
+        odd = germs[-1:] if len(germs) % 2 else []
+        germs = [a + b for a, b in zip(germs[::2], germs[1::2])] + odd
+    return germs[0]
 
 
 def loeb_measure(x: InternalSet) -> Fraction:
@@ -349,11 +356,6 @@ def lebesgue(expr) -> Fraction:
 # -- sigma families -------------------------------------------------------
 
 
-# A schema piece: an interval template whose endpoints are germs in the
-# family index k.
-PieceSchema = Piece
-
-
 def _map_piece(p: Piece, a: Fraction, b: Fraction) -> Piece:
     """The image of p under x -> a*x + b; a constant map sends it to {b}."""
     lo, hi = p.lo * a + b, p.hi * a + b
@@ -375,7 +377,7 @@ class SigmaFamily:
     being the union of the maps' images of the one before."""
 
     mode: str  # "increasing" | "decreasing" | "disjoint"
-    schema: tuple  # tuple of PieceSchema
+    schema: tuple  # Pieces whose endpoints are germs in k
     maps: tuple = ()  # ((a, b), ...) with Fraction entries
     start: int = 1
 
@@ -401,26 +403,36 @@ class SigmaCertificate:
     derivation: str
 
 
-def _check_mode(family: SigmaFamily, sets: list, start: int):
-    if family.mode == "increasing":
-        for i in range(len(sets) - 1):
-            if not sets[i].subset_of(sets[i + 1]):
-                raise ModeViolationError(f"set at k={start + i} is not below its successor")
-    elif family.mode == "decreasing":
-        for i in range(len(sets) - 1):
-            if not sets[i + 1].subset_of(sets[i]):
-                raise ModeViolationError(f"set at k={start + i + 1} is not inside its predecessor")
-    else:
-        # All pieces sorted by lower cut: the sets are pairwise disjoint
-        # exactly when each piece starts at or above the previous upper cut.
-        spans = []
-        for i, s in enumerate(sets):
-            spans += ((lo, hi, i) for lo, hi in _spans(s.cuts))
-        spans.sort(key=_SPAN_KEY)
-        for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
-            if _order(lo, hi) < 0:
-                i, j = sorted((i, j))
-                raise ModeViolationError(f"sets at k={start + i} and k={start + j} overlap")
+def _prove_mode(family: SigmaFamily):
+    """Prove a schema's mode for every k >= start, or raise
+    ModeViolationError naming the piece, end and first k that fail.  A
+    union of growing pieces grows, so an increasing schema holds when no
+    lower end rises and no upper end falls, for any number of pieces
+    (pieces that trade ground are refused); decreasing is the mirror.
+    The disjoint mode is proved for one piece: a lower end that never
+    rises and hi(k+1) <= lo(k), strict unless an end is open, give
+    hi(j) <= lo(j-1) <= lo(i) for i < j; or the mirror, moving up."""
+    mode, start, schema = family.mode, family.start, family.schema
+    fail = f"{mode} mode not proved: "
+    if mode == "disjoint" and len(schema) > 1:
+        raise ModeViolationError(fail + f"it is proved for one piece, not {len(schema)}")
+    sign = -1 if mode == "decreasing" else 1  # the way an upper end may move
+    for n, p in enumerate(schema, 1):
+        ends = (("lower", p.lo, -sign), ("upper", p.hi, sign))
+        if mode == "disjoint":  # the members move down, or else up
+            down = G.compare(G.shift(p.lo), p.lo) <= 0
+            ends = ends[:1] if down else ends[1:]
+        for end, g, s in ends:
+            k = G.first_against(g, start, s)
+            if k is not None:
+                moves = "rises" if s < 0 else "falls"
+                raise ModeViolationError(fail + f"the {end} end of piece {n} {moves} at k={k}")
+        if mode == "disjoint":  # the next member lies wholly below, or above
+            g, base, s = (p.hi, p.lo, -1) if down else (p.lo, p.hi, 1)
+            k = G.first_against(g, start, s, base, p.lo_closed and p.hi_closed)
+            if k is not None:
+                raise ModeViolationError(fail + f"the member of piece {n} at k={k + 1} is not "
+                                         f"{'below' if down else 'above'} the one at k={k}")
 
 
 def _eventual_set(family: SigmaFamily) -> InternalSet:
@@ -481,12 +493,13 @@ def sigma_limit(family: SigmaFamily, depth: int) -> SigmaCertificate:
     Monotone modes report the member measures; the disjoint mode
     reports partial sums.  A family of maps gets its values and limit
     from its self-similarity (``_self_similar``).  A schema family
-    materializes and mode-checks every member up to the depth.  A
-    monotone schema's limit is the Loeb measure of its eventual set:
-    for all large k the members take that set's shape, so their
-    measures tend to the shadows of its widths.  A schema piece that
-    eventually leaves [0,1] is refused, and so is the limit of a
-    disjoint schema, which needs its partial sums in closed form.
+    builds its members up to the depth for the values, and its mode is
+    proved for every k >= start (``_prove_mode``).  A monotone schema's
+    limit is the Loeb measure of its eventual set: for all large k the
+    members take that set's shape, so their measures tend to the shadows
+    of its widths.  A schema piece that eventually leaves [0,1] is
+    refused, and so is the limit of a disjoint schema, which needs its
+    partial sums in closed form.
     """
     check_depth_bound(depth)
     if family.maps:
@@ -494,7 +507,7 @@ def sigma_limit(family: SigmaFamily, depth: int) -> SigmaCertificate:
     start = family.start
     eventual = _eventual_set(family)
     sets = [family.at(k) for k in range(start, start + depth + 1)]
-    _check_mode(family, sets, start)
+    _prove_mode(family)
     if family.mode == "disjoint":
         raise LimitUndecidableError("no exact closed form found for the value sequence")
     pairs = tuple((start + i, loeb_measure(s)) for i, s in enumerate(sets))
@@ -532,9 +545,7 @@ def interval_family(
 ) -> SigmaFamily:
     """A single-interval symbolic family with endpoints in k."""
     schema = (
-        PieceSchema(
-            G.parse_germ_in_k(lo_expr), G.parse_germ_in_k(hi_expr), lo_closed, hi_closed
-        ),
+        Piece(G.parse_germ_in_k(lo_expr), G.parse_germ_in_k(hi_expr), lo_closed, hi_closed),
     )
     return SigmaFamily(mode, schema=schema, start=start)
 

@@ -1,11 +1,14 @@
 """Shared random generators for the test suite (deterministic seeds),
-and planted faults for the finite-model oracle."""
+a sampled oracle for sigma-family modes, and planted faults for the
+finite-model oracle."""
 
 import dataclasses
 from fractions import Fraction
 
 from hyperq import finmodel
+from hyperq.errors import ModeViolationError
 from hyperq.germ import OMEGA, ONE, Germ
+from hyperq.measure import _SPAN_KEY, _order, _spans
 
 
 def random_fraction(rng, span=9):
@@ -65,6 +68,32 @@ def standard_catalog():
     items += [(2 * w + 3) / (w + 1), w / (w + 1), w * w + w, -(w * w) + 1,
               one / (w + 1), (w + 2) / (w ** 3 - w)]
     return tuple(items)
+
+
+def check_mode(family, sets, start):
+    """Check a sigma family's mode on its members ``sets``, the ones at
+    k = start, start + 1, ..., pair by pair: a sample, which proves
+    nothing beyond the last member, kept as an oracle for the decided
+    mode.  Raises ModeViolationError naming the first failing k."""
+    if family.mode == "increasing":
+        for i in range(len(sets) - 1):
+            if not sets[i].subset_of(sets[i + 1]):
+                raise ModeViolationError(f"set at k={start + i} is not below its successor")
+    elif family.mode == "decreasing":
+        for i in range(len(sets) - 1):
+            if not sets[i + 1].subset_of(sets[i]):
+                raise ModeViolationError(f"set at k={start + i + 1} is not inside its predecessor")
+    else:
+        # All pieces sorted by lower cut: the sets are pairwise disjoint
+        # exactly when each piece starts at or above the previous upper cut.
+        spans = []
+        for i, s in enumerate(sets):
+            spans += ((lo, hi, i) for lo, hi in _spans(s.cuts))
+        spans.sort(key=_SPAN_KEY)
+        for (_, hi, i), (lo, _, j) in zip(spans, spans[1:]):
+            if _order(lo, hi) < 0:
+                i, j = sorted((i, j))
+                raise ModeViolationError(f"sets at k={start + i} and k={start + j} overlap")
 
 
 def empty_quotient_membership(monkeypatch):

@@ -146,7 +146,8 @@ def test_sigma_mode_is_checked_on_every_member(tmp_path):
     schema.write_text("\n".join(["mode: increasing", "start: 1", "depth: 1500"] + pieces) + "\n")
     r = run("measure", "--sigma", str(schema))
     assert r.exit_code == DOMAIN
-    assert r.text == "error: set at k=1200 is not below its successor"
+    assert r.text == ("error: increasing mode not proved: "
+                      "the lower end of piece 20 rises at k=1200")
 
 
 def test_outputs_deterministic():

@@ -8,9 +8,12 @@ must give the same germs, and the same Loeb value as loeb_measure.
 Endpoints mix constants on shared and on distinct denominators with
 the infinitesimally shifted kinds c + e/w, c + e/(w+1) and c + e/w^2,
 so that one set's cuts fall into constant and non-constant denominator
-groups at once.
+groups at once.  Sets with thousands of distinct denominators check
+that the per-denominator germs are added without a quadratic cost.
 """
 
+import random
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -60,3 +63,31 @@ def test_counting_measure_matches_the_per_piece_width(raw):
     assert got.lower == want.lower
     assert got.upper == want.upper
     assert got.loeb == want.loeb == M.loeb_measure(x)
+
+
+def many_denominators(n, seed):
+    """n disjoint pieces whose 2n endpoints have random denominators in
+    10^5 to 10^6."""
+    rng = random.Random(seed)
+    ends = set()
+    while len(ends) < 2 * n:
+        q = rng.randrange(10 ** 5, 10 ** 6)
+        ends.add(Fraction(rng.randrange(1, q), q))
+    ends = sorted(ends)
+    return M.InternalSet([M.Piece(Germ.constant(a), Germ.constant(b))
+                          for a, b in zip(ends[::2], ends[1::2])])
+
+
+def test_many_denominators_match_the_left_to_right_sum():
+    x = many_denominators(60, 1)
+    got, want = M.counting_measure(x), reference(x)
+    assert (got.lower, got.upper, got.loeb) == (want.lower, want.upper, want.loeb)
+
+
+def test_many_denominators_are_summed_in_near_linear_time():
+    # left to right, each add ran a gcd on a denominator growing towards
+    # the lcm of all of them: about 4 s at this size
+    x = many_denominators(4000, 2)
+    start = time.process_time()
+    M.counting_measure(x)
+    assert time.process_time() - start < 1

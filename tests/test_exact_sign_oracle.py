@@ -1,14 +1,17 @@
 """Exact sign decisions on the integers >= start, checked against sympy
-(a test-only oracle) and brute-force scans past its real roots."""
+(a test-only oracle) and brute-force scans past its real roots.
+
+``least_negative`` skips the Sturm chain when start >= 1 and the
+coefficients share one sign; one-signed polynomials with zero
+coefficients and starts on both sides of 1 check that shortcut."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperq import _poly as P
-from hyperq import coding as C
 from hyperq.errors import NonMonotoneGeneratorError
-from hyperq.germ import Germ
+from hyperq.germ import Germ, direction
 
 sympy = pytest.importorskip("sympy")
 
@@ -26,19 +29,32 @@ def _scan_bound(expr, start):
     return max([start] + [int(sympy.floor(r)) + 2 for r in roots])
 
 
+def _brute_least_negative(coeffs, start):
+    expr = sum(c * x ** i for i, c in enumerate(coeffs))
+    if any(coeffs):
+        for k in range(start, _scan_bound(expr, start) + 1):
+            if expr.subs(x, k) < 0:
+                return k
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6), st.integers(-5, 30))
 @example([3, -1], 3)  # a simple root at start, negative after it
 @example([16, -20, 8, -1], 2)  # -(x-2)^2 (x-4): a double root at start
 def test_least_negative_matches_brute_force(coeffs, start):
-    expr = sum(c * x ** i for i, c in enumerate(coeffs))
-    expected = None
-    if any(coeffs):
-        for k in range(start, _scan_bound(expr, start) + 1):
-            if expr.subs(x, k) < 0:
-                expected = k
-                break
-    assert P.least_negative(_poly_of(coeffs), start) == expected
+    assert P.least_negative(_poly_of(coeffs), start) == _brute_least_negative(coeffs, start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=6), st.sampled_from([1, -1]),
+       st.sampled_from([-3, 0, 1, 5]))
+@example([0, 3], -1, 0)  # -3x: zero at 0, negative from 1 on
+@example([0, 0, 1], 1, -3)  # x^2: never negative
+@example([0, 1], 1, -3)  # x: negative below 0
+def test_least_negative_of_one_signed_coefficients(magnitudes, sign, start):
+    coeffs = [sign * c for c in magnitudes]
+    assert P.least_negative(_poly_of(coeffs), start) == _brute_least_negative(coeffs, start)
 
 
 def _direction_oracle(num, den, start):
@@ -72,7 +88,7 @@ def test_direction_matches_independent_oracle(num, den, root, start):
     kind, value = _direction_oracle(num, den, start)
     g = Germ(_poly_of(num), _poly_of(den))
     if kind == "ok":
-        assert C._direction(g, start) == value
+        assert direction(g, start) == value
     else:
         with pytest.raises(NonMonotoneGeneratorError, match=f"k={value}$"):
-            C._direction(g, start)
+            direction(g, start)

@@ -129,6 +129,10 @@ CASES = [
     ["measure", "--sigma", "{golden}/disjoint.sigma"],
     ["measure", "--sigma", "{golden}/geometric.sigma"],
     ["measure", "--sigma", "{golden}/leaves.sigma"],
+    # an end that turns past the depth: the mode is proved for every k,
+    # so these are refused, naming the end and the k at which it turns
+    ["measure", "--sigma", "{golden}/late_fall.sigma"],
+    ["measure", "--sigma", "{golden}/late_rise.sigma"],
     # a piece outside [0,1] is printed as an interval: a set's piece, and
     # a sigma member's piece at k = 1
     ["measure", "[0, 2]"],

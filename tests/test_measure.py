@@ -5,12 +5,14 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from helpers import check_mode
 
 from hyperq import measure as M
 from hyperq.errors import (
     EngineError,
     LimitUndecidableError,
     ModeViolationError,
+    NonMonotoneGeneratorError,
     NotDisjointError,
     OutOfAlgebraError,
 )
@@ -333,6 +335,37 @@ def test_disjoint_mode_checks_overlaps():
         M.sigma_limit(bad, 4)
 
 
+@pytest.mark.parametrize("lo, hi, lo_closed, hi_closed", [
+    ("1/(k+1)", "1/k", False, True),  # moving down, touching at open ends
+    ("1 - 1/k", "1 - 1/(k+1)", True, False),  # moving up
+    ("1/(k+2)", "1/(k+1) - 1/(k+1)^3", True, True),  # down, with gaps
+], ids=["down", "up", "down-apart"])
+def test_disjoint_mode_is_proved_for_one_piece(lo, hi, lo_closed, hi_closed):
+    fam = M.interval_family(lo, hi, "disjoint", lo_closed, hi_closed)
+    with pytest.raises(LimitUndecidableError):  # the mode holds; the limit is refused
+        M.sigma_limit(fam, 4)
+    check_mode(fam, [fam.at(k) for k in range(1, 62)], 1)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    # closed ends: [1/3, 1/2] at k = 2 meets [1/2, 1] at k = 1
+    ("1/(k+1)", "1/k", "the member of piece 1 at k=2 is not below the one at k=1"),
+    ("1 - 1/k", "1 - 1/(k+1)", "the member of piece 1 at k=2 is not above the one at k=1"),
+    # moving down from k = 30 on, but up before it
+    ("1/2 - (k-30)^2/(4*(k-30)^2 + 4)", "1/2", "the lower end of piece 1 rises at k=1"),
+], ids=["down-touching", "up-touching", "lower-end-rises"])
+def test_disjoint_mode_refusals_name_the_piece_and_k(lo, hi, message):
+    fam = M.interval_family(lo, hi, "disjoint")
+    with pytest.raises(ModeViolationError, match=f"^disjoint mode not proved: {message}$"):
+        M.sigma_limit(fam, 4)
+
+
+def test_a_pole_past_the_depth_is_refused():
+    fam = M.interval_family("0", "1/2 + 1/(k-30)", "increasing")
+    with pytest.raises(NonMonotoneGeneratorError, match="^endpoint has a pole at k=30$"):
+        M.sigma_limit(fam, 4)
+
+
 def test_disjoint_mode_check_is_not_quadratic():
     # pairwise intersection took about 8 s at this depth and grew quadratically
     fam, _ = M.parse_sigma_file("mode: disjoint\nstart: 1\npiece: (1/(k+1), 1/k]\n")
@@ -346,7 +379,8 @@ def test_disjoint_mode_names_the_overlapping_sets():
     # the second piece is (1/4, 1/3] at k = 700 and empty at every other k
     fam, _ = M.parse_sigma_file("mode: disjoint\npiece: (1/(k+1), 1/k]\n"
                                 "piece: (1/4 + (k-700)^2, 1/3 - (k-700)^2]\n")
-    with pytest.raises(ModeViolationError, match="^sets at k=3 and k=700 overlap$"):
+    with pytest.raises(ModeViolationError,
+                       match="^disjoint mode not proved: it is proved for one piece, not 2$"):
         M.sigma_limit(fam, 1000)
 
 
@@ -383,7 +417,7 @@ def test_self_similar_values_match_the_members(name):
     fam, limit = SELF_SIMILAR[name]
     cert = M.sigma_limit(fam, 8)
     members = [fam.at(k) for k in range(fam.start, fam.start + 9)]
-    M._check_mode(fam, members, fam.start)
+    check_mode(fam, members, fam.start)
     measures = [M.loeb_measure(x) for x in members]
     expected = list(accumulate(measures)) if fam.mode == "disjoint" else measures
     assert cert.values == tuple(zip(range(fam.start, fam.start + 9), expected))
