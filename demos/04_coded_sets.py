@@ -42,8 +42,8 @@ for g, label in (
 ):
     print(f"{label:4s} member: {C.membership(union.set, g)}")
 half = Germ.constant(Fraction(1, 2))
-print("witness index for 1/2:", C.union_witness(union, half),
-      " bound:", C.union_witness_bound(union, half))
+witness = C.union_witness(union, half)  # the family is nested: also a bound
+print("witness index for 1/2:", witness, " bound:", witness)
 
 print()
 print("== countable intersection of [0, 1/k]: zero plus its monad ==")

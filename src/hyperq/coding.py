@@ -230,22 +230,11 @@ def countable_ops(family: CodedFamily, op: str) -> CountableOpResult:
     return CountableOpResult(CodedSet(_convex(lo_cut, hi_cut)), op, family)
 
 
-def union_witness_bound(result: CountableOpResult, a: Germ) -> int:
-    """An index B with a in family.at(k) for every k >= B, for a member
-    germ of a union.  The family is nested, so the least witness is
-    such a bound, and the least one."""
-    if result.op != "union":
-        raise ValueError("witness bounds exist for unions only")
-    k = union_witness(result, a)
-    if k is None:
-        raise EngineError("germ is not a member of the union")
-    return k
-
-
 def union_witness(result: CountableOpResult, a: Germ):
     """The least standard index k with a in family.at(k) for a member a
     of a countable union; None for a non-member.  countable_ops proved
-    the family nested, so that membership is monotone in k: gallop to a
+    the family nested, so that membership is monotone in k and k is also
+    the least bound with a in family.at(j) for every j >= k: gallop to a
     hit, then bisect."""
     if not membership(result.set, a):
         return None

@@ -16,24 +16,32 @@ Decimal literals are converted to exact fractions; a literal fraction
 ``p/q`` is folded into a single number node, so ``1/0`` is rejected
 while parsing.  ``format`` prints with canonical spacing and minimal
 parentheses, and ``parse(format(t))`` returns ``t`` for every tree ``t``
-in the parser's image.  Input whose brackets and prefix operators, or
-whose tree, nest deeper than ``MAX_DEPTH`` levels is refused with a
-``ParseError``, and an exponent over ``germ.MAX_EXPONENT`` as a domain
-error.  The normative grammar ships in docs/grammar.ebnf.
-Every evaluator of these trees is one ``fold``: a function per inner
-node class and a leaf function for the rest.
+in the parser's image.  The input is read once: one token pattern,
+then one parse whose productions return each node with its height.
+Input whose brackets and prefix operators nest deeper than
+``MAX_DEPTH`` levels is refused with a ``ParseError`` where it does.
+After the whole input has parsed, so that a syntax error anywhere comes
+first, each item in turn is refused if its tree is taller than
+``MAX_DEPTH`` (a ``ParseError`` at the end of the input) and then if an
+exponent passes ``germ.MAX_EXPONENT`` (a domain error naming the first
+in pre-order).  An item with both faults is refused for its height.
+The normative grammar ships in docs/grammar.ebnf.  Every evaluator of
+these trees is one ``fold``: a function per inner node class and a leaf
+function for the rest.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from collections import namedtuple
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .germ import VAR_K, VAR_W, BivariateGerm, Germ, shadow, InfiniteShadow, _check_exponent
+from .germ import (MAX_EXPONENT, VAR_K, VAR_W, BivariateGerm, Germ, InfiniteShadow,
+                   _check_exponent, shadow)
 from . import _poly as P
 from .errors import EngineError
 
@@ -154,51 +162,31 @@ class Token(NamedTuple):
     col: int
 
 
-_PUNCT = "+-*/^()[]{},&|~"
-_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes other scripts' digits
+# One alternative per token kind, tried in order.  Digits are ASCII only
+# (``\d`` also takes other scripts' digits); ``\w`` is ``str.isalnum``
+# or "_", and a name must start with a letter or "_".  Blanks, here every
+# whitespace character but the newline, are skipped, and any other
+# character is refused.
+_TOKEN = re.compile(r"(?P<punct>[-+*/^()\[\]{},&|~])|(?P<num>[0-9]+(?:\.[0-9]+)?)|(?P<name>\w+)"
+                    r"|[^\S\n]+|(?P<newline>\n)|(?P<other>.)")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blanks
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            tok = text[start:i]
-            tokens.append(Token("num", tok, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("name", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+        tok, col = m[0], m.start() - line_start + 1
+        if kind == "punct":
+            tokens.append(Token(tok, tok, line, col))
+        elif kind == "num" or kind == "name" and (tok[0].isalpha() or tok[0] == "_"):
+            tokens.append(Token(kind, tok, line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        else:
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -221,8 +209,8 @@ _PRED_NAMES = ("limited", "inf", "std")
 
 # Bound on both the nesting of brackets and prefix operators met by the
 # recursive descent and the height of the AST it returns, so that the
-# parser and every recursive walk over its trees stay far inside the
-# interpreter's stack.
+# parser and every fold over its trees stay far inside the interpreter's
+# stack.
 MAX_DEPTH = 100
 
 
@@ -252,12 +240,18 @@ _BY_NODE = {op.node: op for op in _OPERATORS}
 
 
 class _Parser:
+    """Recursive descent over the operator table.  Every production
+    returns its node and the node's height (a leaf is 1), and ``over``
+    keeps the first exponent literal over germ.MAX_EXPONENT in pre-order,
+    so the caps need no walk after the parse."""
+
     def __init__(self, tokens, mode):
         self.tokens = tokens
         self.pos = 0
         self.mode = mode
         self.vars = _MODE_VARS[mode]
         self.depth = 0
+        self.over = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -282,38 +276,52 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.fail(f"expression nests deeper than {MAX_DEPTH} levels")
-        node = parse(*args)
+        parsed = parse(*args)
         self.depth -= 1
-        return node
+        return parsed
+
+    def enclosed(self, parse, *args):
+        """``parse(*args)`` between "(" and ")"."""
+        self.expect("(")
+        parsed = parse(*args)
+        self.expect(")")
+        return parsed
 
     def climb(self, layer, floor=0):
         """An expression of ``layer`` whose infix operators all bind tighter
         than ``floor``.  A negated number or a quotient of numbers folds."""
         op = _PREFIX[layer].get(self.peek().kind)
         if op is None:
-            node = self.power() if layer == "arith" else self.set_atom()
+            node, height = self.power() if layer == "arith" else self.set_atom()
         else:
             self.next()
-            node = self.nested(self.climb, layer, op.prec)
-            node = Num(-node.value) if op.node is Neg and type(node) is Num else op.node(node)
+            node, height = self.nested(self.climb, layer, op.prec)
+            if op.node is Neg and type(node) is Num:
+                node = Num(-node.value)
+            else:
+                node, height = op.node(node), height + 1
         infix = _INFIX[layer]
         while (op := infix.get(self.peek().kind)) is not None and op.prec > floor:
             tok = self.next()
-            rhs = self.climb(layer, op.prec)
+            rhs, rhs_height = self.climb(layer, op.prec)
             if op.node is Div and type(node) is Num and type(rhs) is Num:
                 if rhs.value == 0:
                     raise ParseError("zero denominator in literal", tok.line, tok.col)
                 node = Num(node.value / rhs.value)
             else:
-                node = op.node(node, rhs)
-        return node
+                node, height = op.node(node, rhs), max(height, rhs_height) + 1
+        return node, height
 
     def power(self):
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.next()
-            node = Pow(node, self.signed_int("integer exponent required"))
-        return node
+        over = self.over  # an exponent over the cap met before this power
+        node, height = self.atom()
+        if self.peek().kind != "^":
+            return node, height
+        self.next()
+        exp = self.signed_int("integer exponent required")
+        if over is None and abs(exp) > MAX_EXPONENT:
+            self.over = exp  # this power's, not one inside its base
+        return Pow(node, exp), height + 1
 
     def signed_int(self, message):
         sign = 1
@@ -330,36 +338,29 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return Num(_num_value(tok.text))
+            return Num(_num_value(tok.text)), 1
         if tok.kind == "(":
-            self.next()
-            node = self.nested(self.climb, "arith")
-            self.expect(")")
-            return node
+            return self.enclosed(self.nested, self.climb, "arith")
         if tok.kind == "name":
             name = tok.text
             if name in self.vars:
                 self.next()
-                return Var(name)
+                return Var(name), 1
             if name == "shadow":
                 self.next()
-                self.expect("(")
-                child = self.nested(self.climb, "arith")
-                self.expect(")")
-                return ShadowOf(child)
+                child, height = self.enclosed(self.nested, self.climb, "arith")
+                return ShadowOf(child), height + 1
             if self.mode == "ext":
                 if name == "M0":
                     self.next()
-                    return NeutrixLit("M0", -1)
+                    return NeutrixLit("M0", -1), 1
                 if name == "G0":
                     self.next()
-                    return NeutrixLit("G0", 0)
+                    return NeutrixLit("G0", 0), 1
                 if name == "N":
                     self.next()
-                    self.expect("(")
-                    grade = self.signed_int("neutrix grade must be an integer")
-                    self.expect(")")
-                    return NeutrixLit("N", grade)
+                    grade = self.enclosed(self.signed_int, "neutrix grade must be an integer")
+                    return NeutrixLit("N", grade), 1
             raise ParseError(f"unknown name {name!r}", tok.line, tok.col)
         self.fail(f"unexpected {tok.text or 'end of input'!r}")
 
@@ -369,74 +370,64 @@ class _Parser:
             return self.interval()
         if tok.kind == "{":
             self.next()
-            value = self.climb("arith")
+            value, height = self.climb("arith")
             self.expect("}")
-            return Singleton(value)
+            return Singleton(value), height + 1
         if tok.kind == "(":
-            save = self.pos, self.depth
+            save = self.pos, self.depth, self.over
             try:
                 return self.interval()
             except ParseError:
-                self.pos, self.depth = save
-            self.next()
-            node = self.nested(self.climb, "set")
-            self.expect(")")
-            return node
+                self.pos, self.depth, self.over = save
+            return self.enclosed(self.nested, self.climb, "set")
         if tok.kind == "name":
             if tok.text in _PRED_NAMES:
                 self.next()
-                return PredAtom(tok.text)
+                return PredAtom(tok.text), 1
             if tok.text == "monad":
                 self.next()
-                self.expect("(")
-                center = self.climb("arith")
-                self.expect(")")
-                return MonadOf(center)
+                center, height = self.enclosed(self.climb, "arith")
+                return MonadOf(center), height + 1
         self.fail("expected a set expression")
 
     def interval(self):
         opener = self.next()
-        lo_closed = opener.kind == "["
-        lo = self.climb("arith")
+        lo, lo_height = self.climb("arith")
         self.expect(",")
-        hi = self.climb("arith")
+        hi, hi_height = self.climb("arith")
         closer = self.peek()
         if closer.kind not in (")", "]"):
             self.fail("expected ')' or ']' to close the interval")
         self.next()
-        return Interval(lo, hi, lo_closed, closer.kind == "]")
-
-
-def _bounded(node, tok):
-    """``node`` if its height is at most MAX_DEPTH (else a ParseError)
-    and no exponent literal passes germ.MAX_EXPONENT (else a domain
-    error naming the leftmost): one walk, without recursion."""
-    stack = [(node, 1)]
-    while stack:
-        n, h = stack.pop()
-        if h > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
-        if type(n) is Pow:
-            _check_exponent(n.exp)
-        stack.extend((c, h + 1) for c in reversed(vars(n).values()) if is_dataclass(c))
-    return node
+        return (Interval(lo, hi, opener.kind == "[", closer.kind == "]"),
+                max(lo_height, hi_height) + 1)
 
 
 def _parse(text, mode, items):
     """The expressions of ``text`` in ``mode``'s layer: one, or with
-    ``items`` a comma-separated list of them."""
+    ``items`` a comma-separated list of them.  The caps are checked once
+    the whole input has parsed, item by item: the height, then the
+    exponent."""
     if mode not in _MODE_VARS:
         raise ValueError(f"unknown mode {mode!r}")
     parser = _Parser(_tokenize(text), mode)
     layer = "set" if mode in ("set", "kset") else "arith"
-    nodes = [parser.climb(layer)]
-    while items and parser.peek().kind == ",":
+    parsed = []
+    while True:
+        parser.over = None
+        parsed.append((*parser.climb(layer), parser.over))
+        if not (items and parser.peek().kind == ","):
+            break
         parser.next()
-        nodes.append(parser.climb(layer))
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return tuple(_bounded(node, tok) for node in nodes)
+    for _, height, over in parsed:
+        if height > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        if over is not None:
+            _check_exponent(over)
+    return tuple(node for node, _, _ in parsed)
 
 
 def parse(text: str, mode: str = "germ"):

@@ -52,6 +52,7 @@ from .errors import (
     EngineError,
     LimitUndecidableError,
     ModeViolationError,
+    NonMonotoneGeneratorError,
     NotDisjointError,
     OutOfAlgebraError,
     read_fields,
@@ -416,6 +417,16 @@ def _prove_mode(family: SigmaFamily):
     fail = f"{mode} mode not proved: "
     if mode == "disjoint" and len(schema) > 1:
         raise ModeViolationError(fail + f"it is proved for one piece, not {len(schema)}")
+
+    def first_against(n, end, g, *args):
+        """germ.first_against of piece n's end g, which refuses a pole as
+        "endpoint has a pole at k=K": refused here naming the end."""
+        try:
+            return G.first_against(g, start, *args)
+        except NonMonotoneGeneratorError as exc:
+            raise ModeViolationError(
+                fail + str(exc).replace("endpoint", f"the {end} end of piece {n}")) from None
+
     sign = -1 if mode == "decreasing" else 1  # the way an upper end may move
     for n, p in enumerate(schema, 1):
         ends = (("lower", p.lo, -sign), ("upper", p.hi, sign))
@@ -423,13 +434,14 @@ def _prove_mode(family: SigmaFamily):
             down = G.compare(G.shift(p.lo), p.lo) <= 0
             ends = ends[:1] if down else ends[1:]
         for end, g, s in ends:
-            k = G.first_against(g, start, s)
+            k = first_against(n, end, g, s)
             if k is not None:
                 moves = "rises" if s < 0 else "falls"
                 raise ModeViolationError(fail + f"the {end} end of piece {n} {moves} at k={k}")
         if mode == "disjoint":  # the next member lies wholly below, or above
-            g, base, s = (p.hi, p.lo, -1) if down else (p.lo, p.hi, 1)
-            k = G.first_against(g, start, s, base, p.lo_closed and p.hi_closed)
+            # the base end is the one proved above, so a pole is in g
+            end, g, base, s = ("upper", p.hi, p.lo, -1) if down else ("lower", p.lo, p.hi, 1)
+            k = first_against(n, end, g, s, base, p.lo_closed and p.hi_closed)
             if k is not None:
                 raise ModeViolationError(fail + f"the member of piece {n} at k={k + 1} is not "
                                          f"{'below' if down else 'above'} the one at k={k}")

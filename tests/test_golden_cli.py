@@ -133,6 +133,10 @@ CASES = [
     # so these are refused, naming the end and the k at which it turns
     ["measure", "--sigma", "{golden}/late_fall.sigma"],
     ["measure", "--sigma", "{golden}/late_rise.sigma"],
+    # an end with a pole past the depth: a monotone mode, and a disjoint
+    # schema whose pole is met on its step to the next member
+    ["measure", "--sigma", "{golden}/pole.sigma"],
+    ["measure", "--sigma", "{golden}/disjoint_pole.sigma"],
     # a piece outside [0,1] is printed as an interval: a set's piece, and
     # a sigma member's piece at k = 1
     ["measure", "[0, 2]"],

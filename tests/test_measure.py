@@ -12,7 +12,6 @@ from hyperq.errors import (
     EngineError,
     LimitUndecidableError,
     ModeViolationError,
-    NonMonotoneGeneratorError,
     NotDisjointError,
     OutOfAlgebraError,
 )
@@ -362,7 +361,19 @@ def test_disjoint_mode_refusals_name_the_piece_and_k(lo, hi, message):
 
 def test_a_pole_past_the_depth_is_refused():
     fam = M.interval_family("0", "1/2 + 1/(k-30)", "increasing")
-    with pytest.raises(NonMonotoneGeneratorError, match="^endpoint has a pole at k=30$"):
+    with pytest.raises(ModeViolationError, match="^increasing mode not proved: the upper end "
+                       "of piece 1 has a pole at k=30$"):
+        M.sigma_limit(fam, 4)
+
+
+@pytest.mark.parametrize("lo, hi, end", [
+    ("1/(2*k)", "1/(2*k) + 1/(8*k^2) + 1/(1000*(k-40)^2)", "upper"),  # moving down
+    ("1 - 1/(2*k) - 1/(8*k^2) - 1/(1000*(k-40)^2)", "1 - 1/(2*k+2)", "lower"),  # moving up
+])
+def test_a_disjoint_step_names_the_end_with_the_pole(lo, hi, end):
+    fam = M.interval_family(lo, hi, "disjoint")
+    with pytest.raises(ModeViolationError, match=f"^disjoint mode not proved: the {end} end "
+                       "of piece 1 has a pole at k=40$"):
         M.sigma_limit(fam, 4)
 
 
